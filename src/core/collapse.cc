@@ -115,8 +115,6 @@ runCollapseStudy(const CollapseConfig &config)
             run_cfg.timeline_path = tagPath(run_cfg.timeline_path, tag);
             run_cfg.metrics_path = tagPath(run_cfg.metrics_path, tag);
             run_cfg.error_path = tagPath(run_cfg.error_path, tag);
-            run_cfg.checkpoint_path =
-                tagPath(run_cfg.checkpoint_path, tag);
 
             ExperimentRunner runner(std::move(run_cfg));
             // sweep() routes through the isolated batch executor: an

@@ -87,7 +87,6 @@ runResilienceStudy(const ResilienceConfig &config)
         probe_cfg.governor.mode = control::GovernorMode::Off;
         probe_cfg.timeline_path.clear();
         probe_cfg.metrics_path.clear();
-        probe_cfg.checkpoint_path.clear();
         ExperimentRunner probe(std::move(probe_cfg));
         const jvm::RunResult r = probe.runApp(config.app, config.threads);
         horizon = std::max<Ticks>(1 * units::MS, r.wall_time * 3 / 4);
@@ -118,7 +117,6 @@ runResilienceStudy(const ResilienceConfig &config)
             arm.timeline_path = tagPath(arm.timeline_path, tag);
             arm.metrics_path = tagPath(arm.metrics_path, tag);
             arm.error_path = tagPath(arm.error_path, tag);
-            arm.checkpoint_path = tagPath(arm.checkpoint_path, tag);
 
             ExperimentRunner runner(std::move(arm));
             // sweep() routes through the isolated batch executor: an

@@ -11,7 +11,7 @@
  * written as C hexfloats (%a) for lossless round-trips; strings are
  * backslash-escaped one-liners.
  *
- * Records are keyed by the run's checkpoint key and bound to the
+ * Records are keyed by the run's key ("app|tN|s<seed>") and bound to the
  * campaign fingerprint: a reader rejects records from a differently
  * configured campaign instead of silently mixing incompatible results.
  */

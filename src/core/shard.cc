@@ -26,11 +26,15 @@ RunCache::RunCache(std::string dir, std::string fingerprint)
 }
 
 std::string
-RunCache::recordFileName(const std::string &key)
+RunCache::recordFileName(const std::string &key,
+                         const std::string &fingerprint)
 {
-    // Human-readable prefix (filesystem-safe subset of the key) plus
-    // the full key's hash so distinct keys never share a file. The
-    // record itself carries the exact key; load() verifies it.
+    // Human-readable prefix (filesystem-safe subset of the key) plus a
+    // hash of the key and the fingerprint, so distinct keys — and the
+    // same key under different campaign configurations — never share a
+    // file. The raw fingerprint would overflow the file-name limit. The
+    // record itself carries the exact key and fingerprint; load()
+    // verifies both.
     std::string safe;
     for (const char c : key) {
         const bool keep = (c >= 'a' && c <= 'z') ||
@@ -40,7 +44,7 @@ RunCache::recordFileName(const std::string &key)
         safe += keep ? c : '_';
     }
     std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const char c : key) {
+    for (const char c : key + '\n' + fingerprint) {
         h ^= static_cast<unsigned char>(c);
         h *= 0x100000001b3ULL;
     }
@@ -49,10 +53,16 @@ RunCache::recordFileName(const std::string &key)
     return name.str();
 }
 
+std::string
+RunCache::recordPath(const std::string &key) const
+{
+    return dir_ + "/" + recordFileName(key, fingerprint_);
+}
+
 bool
 RunCache::load(const std::string &key, jvm::RunResult &out) const
 {
-    const std::string path = dir_ + "/" + recordFileName(key);
+    const std::string path = recordPath(key);
     std::ifstream in(path);
     if (!in)
         return false;
@@ -67,7 +77,7 @@ RunCache::load(const std::string &key, jvm::RunResult &out) const
 void
 RunCache::store(const std::string &key, const jvm::RunResult &r) const
 {
-    const std::string path = dir_ + "/" + recordFileName(key);
+    const std::string path = recordPath(key);
     AtomicFileWriter writer(path);
     if (!writer.ok()) {
         warn("cannot open run cache record '", path, "'");

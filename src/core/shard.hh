@@ -4,7 +4,7 @@
  * result cache.
  *
  * A campaign's plans are split into N deterministic, disjoint,
- * position-independent slices by hashing each run's checkpoint key
+ * position-independent slices by hashing each run's key
  * (base/chaos.hh shardOfKey). A shard worker executes only its slice
  * and persists every completed point — full RunResult, failed markers
  * included — as an atomic "jscale-run v1" record in a shared cache
@@ -12,11 +12,16 @@
  * the cache populated: every point is a cache hit, all rendering flows
  * through the same code over the same values, and the merged tables /
  * CSVs / golden snapshots come out byte-identical to a single-process
- * run by construction.
+ * run by construction. The same mechanism resumes an interrupted
+ * single-process campaign: `merge --fill` salvages every stored point
+ * and runs only the rest.
  *
  * Records are bound to the campaign fingerprint, so a stale cache from
  * a differently configured campaign reads as a miss, never as silent
- * result mixing.
+ * result mixing. The record's file name hashes the fingerprint along
+ * with the key, so the arms of one study (collapse policies, resilience
+ * intensities), which share keys but not fingerprints, coexist in one
+ * directory.
  */
 
 #ifndef JSCALE_CORE_SHARD_HH
@@ -44,7 +49,7 @@ struct ShardSpec
 };
 
 /**
- * Per-point result cache keyed by checkpoint key. Thread-safe: points
+ * Per-point result cache keyed by run key. Thread-safe: points
  * store to distinct files via write-temp-then-rename, so pool workers
  * can commit concurrently and a SIGKILL never publishes a torn record.
  */
@@ -69,10 +74,16 @@ class RunCache
      */
     void store(const std::string &key, const jvm::RunResult &r) const;
 
-    /** Cache file (not path) a key maps to, for tests and tooling. */
-    static std::string recordFileName(const std::string &key);
+    /**
+     * Cache file (not path) a key maps to under a campaign
+     * fingerprint, for tests and tooling.
+     */
+    static std::string recordFileName(const std::string &key,
+                                      const std::string &fingerprint);
 
   private:
+    std::string recordPath(const std::string &key) const;
+
     std::string dir_;
     std::string fingerprint_;
 };

@@ -369,7 +369,8 @@ struct RunResult
      * app_name/threads are meaningful then.
      */
     std::string run_error;
-    /** The run was skipped because a checkpoint marked it complete. */
+    /** The run belongs to another shard's slice and did not run here
+     *  (sharded campaigns only; see core/shard.hh). */
     bool skipped = false;
 
     bool failed() const { return !run_error.empty(); }

@@ -187,8 +187,9 @@ TEST(UslTable, RecommendationTracksObservedKneeForScalableApps)
         // The raw fit must not under-predict the knee either: these
         // sweeps rise through their largest point, so a small n* would
         // mean the model invented a collapse that is not there.
-        if (fit.n_star > 0.0)
+        if (fit.n_star > 0.0) {
             EXPECT_GE(fit.n_star, 0.75 * knee) << app;
+        }
     }
 }
 

@@ -6,12 +6,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "core/plots.hh"
+#include "test_dir.hh"
 
 namespace {
 
@@ -53,23 +53,11 @@ slurp(const std::string &path)
     return ss.str();
 }
 
-struct TempDir
-{
-    TempDir() : path(fs::temp_directory_path() / "jscale_plots_test")
-    {
-        fs::create_directories(path);
-    }
-
-    ~TempDir() { fs::remove_all(path); }
-
-    fs::path path;
-};
-
 TEST(Plots, LockFigureHasOneColumnPerApp)
 {
-    TempDir tmp;
+    testutil::ScopedTestDir tmp;
     const auto files =
-        core::writeLockFigure(tmp.path.string(), sweeps(), false);
+        core::writeLockFigure(tmp.path(), sweeps(), false);
     ASSERT_EQ(files.size(), 2u);
     const std::string dat = slurp(files[0]);
     std::istringstream lines(dat);
@@ -96,10 +84,10 @@ TEST(Plots, LockFigureHasOneColumnPerApp)
 
 TEST(Plots, LifespanFigureHasOneCurvePerSetting)
 {
-    TempDir tmp;
+    testutil::ScopedTestDir tmp;
     const auto s = sweeps();
     const auto files = core::writeLifespanFigure(
-        tmp.path.string(), "xalan", s.at("xalan"));
+        tmp.path(), "xalan", s.at("xalan"));
     const std::string dat = slurp(files[0]);
     EXPECT_NE(dat.find("t4"), std::string::npos);
     EXPECT_NE(dat.find("t48"), std::string::npos);
@@ -110,9 +98,9 @@ TEST(Plots, LifespanFigureHasOneCurvePerSetting)
 
 TEST(Plots, MutatorGcFigureUsesStackedHistograms)
 {
-    TempDir tmp;
+    testutil::ScopedTestDir tmp;
     const auto files =
-        core::writeMutatorGcFigure(tmp.path.string(), sweeps());
+        core::writeMutatorGcFigure(tmp.path(), sweeps());
     const std::string gp = slurp(files[1]);
     EXPECT_NE(gp.find("rowstacked"), std::string::npos);
     const std::string dat = slurp(files[0]);
@@ -121,8 +109,8 @@ TEST(Plots, MutatorGcFigureUsesStackedHistograms)
 
 TEST(Plots, WriteAllFiguresCoversThePaperSet)
 {
-    TempDir tmp;
-    const auto files = core::writeAllFigures(tmp.path.string(), sweeps());
+    testutil::ScopedTestDir tmp;
+    const auto files = core::writeAllFigures(tmp.path(), sweeps());
     // fig1a + fig1b (2 files each) + xalan + eclipse lifespans (2 each)
     // + fig2 (2) = 10.
     EXPECT_EQ(files.size(), 10u);

@@ -1,8 +1,9 @@
 /**
  * @file
  * Sharded campaign tests: slice assignment (deterministic, disjoint,
- * covering, position-independent) and the per-point run result cache
- * (lossless roundtrip, fingerprint binding, corruption tolerance).
+ * covering, position-independent), the per-point run result cache
+ * (lossless roundtrip, fingerprint binding, corruption tolerance) and
+ * resuming a campaign through that cache.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <string>
@@ -19,6 +21,7 @@
 #include "core/experiment.hh"
 #include "core/run_record.hh"
 #include "core/shard.hh"
+#include "test_dir.hh"
 
 namespace {
 
@@ -89,22 +92,34 @@ TEST(ShardRecordFileName, DistinctAndFilesystemSafe)
 {
     std::set<std::string> names;
     for (const std::string &key : sampleKeys()) {
-        const std::string name = core::RunCache::recordFileName(key);
+        const std::string name =
+            core::RunCache::recordFileName(key, "fp-1");
         EXPECT_TRUE(names.insert(name).second) << name;
         EXPECT_EQ(name.find('/'), std::string::npos) << name;
         EXPECT_EQ(name.find('|'), std::string::npos) << name;
     }
     // Keys differing only in hash-sensitive characters stay distinct.
-    EXPECT_NE(core::RunCache::recordFileName("h2|t4|s1"),
-              core::RunCache::recordFileName("h2|t4|s2"));
+    EXPECT_NE(core::RunCache::recordFileName("h2|t4|s1", "fp-1"),
+              core::RunCache::recordFileName("h2|t4|s2", "fp-1"));
+    // So does one key under two fingerprints (two arms of a study); both
+    // names keep the readable key prefix, and a long fingerprint adds
+    // only a fixed-width hash, never its own length.
+    const std::string fifo =
+        core::RunCache::recordFileName("hotlock|t4|s1", "locks=fifo");
+    const std::string lcr =
+        core::RunCache::recordFileName("hotlock|t4|s1", "locks=lcr");
+    EXPECT_NE(fifo, lcr);
+    EXPECT_EQ(fifo.rfind("hotlock_t4_s1-", 0), 0u) << fifo;
+    EXPECT_EQ(lcr.rfind("hotlock_t4_s1-", 0), 0u) << lcr;
+    EXPECT_LT(core::RunCache::recordFileName("hotlock|t4|s1",
+                                             std::string(4096, 'x'))
+                  .size(),
+              64u);
 }
 
 class RunCacheTest : public ::testing::Test
 {
   protected:
-    void SetUp() override { std::filesystem::remove_all(dir_); }
-    void TearDown() override { std::filesystem::remove_all(dir_); }
-
     jvm::RunResult simulateOnce()
     {
         core::ExperimentConfig cfg;
@@ -121,14 +136,24 @@ class RunCacheTest : public ::testing::Test
         return os.str();
     }
 
-    const std::string dir_ = "run_cache_test_dir";
+    /** Sweep config with a run cache in this test's directory. */
+    core::ExperimentConfig cachedSweepCfg() const
+    {
+        core::ExperimentConfig cfg;
+        cfg.workload_scale = 0.05;
+        cfg.heap_override = 32 * units::MiB; // calibration-free, faster
+        cfg.run_cache_dir = dir_;
+        return cfg;
+    }
+
+    testutil::ScopedTestDir scratch_;
+    const std::string dir_ = scratch_.path();
 };
 
 TEST_F(RunCacheTest, StoreThenLoadIsLossless)
 {
     const std::string key = "xalan|t4|s11";
     const jvm::RunResult original = simulateOnce();
-    std::filesystem::create_directories(dir_);
     core::RunCache cache(dir_, "fp-1");
     cache.store(key, original);
 
@@ -141,7 +166,6 @@ TEST_F(RunCacheTest, StoreThenLoadIsLossless)
 
 TEST_F(RunCacheTest, MissingKeyIsAMiss)
 {
-    std::filesystem::create_directories(dir_);
     core::RunCache cache(dir_, "fp-1");
     jvm::RunResult out;
     EXPECT_FALSE(cache.load("h2|t8|s3", out));
@@ -150,7 +174,6 @@ TEST_F(RunCacheTest, MissingKeyIsAMiss)
 TEST_F(RunCacheTest, ForeignFingerprintIsAMiss)
 {
     const std::string key = "xalan|t4|s11";
-    std::filesystem::create_directories(dir_);
     core::RunCache writer(dir_, "fp-1");
     writer.store(key, simulateOnce());
 
@@ -163,12 +186,12 @@ TEST_F(RunCacheTest, ForeignFingerprintIsAMiss)
 TEST_F(RunCacheTest, CorruptRecordIsAMissNotAnAbort)
 {
     const std::string key = "xalan|t4|s11";
-    std::filesystem::create_directories(dir_);
     core::RunCache cache(dir_, "fp-1");
     cache.store(key, simulateOnce());
 
     const std::filesystem::path file =
-        std::filesystem::path(dir_) / core::RunCache::recordFileName(key);
+        std::filesystem::path(dir_) /
+        core::RunCache::recordFileName(key, "fp-1");
     // Truncate the record: the "end" trailer vanishes, as after a torn
     // write that somehow survived the atomic-rename protocol.
     const auto size = std::filesystem::file_size(file);
@@ -189,7 +212,6 @@ TEST_F(RunCacheTest, FailedMarkersRoundtrip)
     marker.app_name = "h2";
     marker.threads = 8;
     marker.run_error = "watchdog: no progress for 5000 ticks";
-    std::filesystem::create_directories(dir_);
     core::RunCache cache(dir_, "fp-1");
     cache.store("h2|t8|s3", marker);
 
@@ -199,6 +221,104 @@ TEST_F(RunCacheTest, FailedMarkersRoundtrip)
     EXPECT_EQ(out.run_error, marker.run_error);
     EXPECT_EQ(out.app_name, "h2");
     EXPECT_EQ(out.threads, 8u);
+}
+
+TEST_F(RunCacheTest, TwoFingerprintsWithOneKeyCoexist)
+{
+    // The arms of one study (e.g. collapse's admission policies) share
+    // run keys but not fingerprints; neither may overwrite the other.
+    const std::string key = "hotlock|t4|s1";
+    jvm::RunResult fifo;
+    fifo.app_name = "hotlock";
+    fifo.threads = 4;
+    fifo.run_error = "fifo arm";
+    jvm::RunResult lcr = fifo;
+    lcr.run_error = "lcr arm";
+    core::RunCache fifo_cache(dir_, "locks=fifo");
+    core::RunCache lcr_cache(dir_, "locks=lcr");
+    fifo_cache.store(key, fifo);
+    lcr_cache.store(key, lcr);
+
+    jvm::RunResult out;
+    ASSERT_TRUE(fifo_cache.load(key, out));
+    EXPECT_EQ(out.run_error, "fifo arm");
+    ASSERT_TRUE(lcr_cache.load(key, out));
+    EXPECT_EQ(out.run_error, "lcr arm");
+    const auto files = std::distance(
+        std::filesystem::directory_iterator(dir_),
+        std::filesystem::directory_iterator());
+    EXPECT_EQ(files, 2);
+}
+
+TEST_F(RunCacheTest, StoreAfterCorruptionPublishesCleanRecord)
+{
+    // A corrupt record is a miss, the point re-runs, and its store
+    // replaces the bad file so the next process salvages it.
+    const std::string key = "h2|t8|s3";
+    core::RunCache cache(dir_, "fp-1");
+    const std::filesystem::path file =
+        std::filesystem::path(dir_) /
+        core::RunCache::recordFileName(key, "fp-1");
+    std::ofstream(file) << "jscale-run v1\ntorn";
+
+    jvm::RunResult out;
+    EXPECT_FALSE(cache.load(key, out));
+    jvm::RunResult marker;
+    marker.app_name = "h2";
+    marker.threads = 8;
+    marker.run_error = "watchdog";
+    cache.store(key, marker);
+    ASSERT_TRUE(cache.load(key, out));
+    EXPECT_EQ(out.run_error, "watchdog");
+}
+
+TEST_F(RunCacheTest, ResumedSweepSalvagesCompletedRuns)
+{
+    // A plain, uncached sweep is the reference.
+    core::ExperimentConfig plain_cfg = cachedSweepCfg();
+    plain_cfg.run_cache_dir.clear();
+    core::ExperimentRunner plain(plain_cfg);
+    const auto reference = plain.sweep("sunflow", {2, 4, 8});
+
+    // First campaign: both points run and are stored.
+    core::resetCampaignPointStats();
+    {
+        core::ExperimentRunner runner(cachedSweepCfg());
+        runner.sweep("sunflow", {2, 4});
+    }
+    EXPECT_EQ(core::campaignPointStats().executed.load(), 2u);
+
+    // Extending the sweep salvages both finished points with their full
+    // results and runs only the new one.
+    core::resetCampaignPointStats();
+    core::ExperimentRunner runner(cachedSweepCfg());
+    const auto resumed = runner.sweep("sunflow", {2, 4, 8});
+    EXPECT_EQ(core::campaignPointStats().salvaged.load(), 2u);
+    EXPECT_EQ(core::campaignPointStats().executed.load(), 1u);
+    ASSERT_EQ(resumed.size(), reference.size());
+    for (std::size_t i = 0; i < resumed.size(); ++i) {
+        EXPECT_FALSE(resumed[i].skipped);
+        EXPECT_GT(resumed[i].total_tasks, 0u);
+        EXPECT_EQ(canonical("p", resumed[i]), canonical("p", reference[i]))
+            << "point " << i;
+    }
+}
+
+TEST_F(RunCacheTest, ChangedSeedReRunsEveryPoint)
+{
+    {
+        core::ExperimentRunner runner(cachedSweepCfg());
+        runner.sweep("sunflow", {2});
+    }
+    core::ExperimentConfig cfg = cachedSweepCfg();
+    cfg.seed = 4711; // different campaign fingerprint
+    core::resetCampaignPointStats();
+    core::ExperimentRunner runner(cfg);
+    const auto results = runner.sweep("sunflow", {2});
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(core::campaignPointStats().salvaged.load(), 0u);
+    EXPECT_EQ(core::campaignPointStats().executed.load(), 1u);
+    EXPECT_GT(results[0].total_tasks, 0u);
 }
 
 TEST(CampaignPointStatsTest, ResetZeroesEveryCounter)

@@ -151,18 +151,11 @@ TEST(WaitNotify, NotifyWithoutWaitersIsANoOp)
 
 TEST(WaitNotify, WaitRequiresOwnership)
 {
-    using jvm::Action;
-    ScriptApp app(1, [](std::uint32_t, const auto &m) {
-        std::vector<Action> s;
-        s.push_back(Action::monitorWait(m[0])); // never acquired!
-        return s;
-    });
     EXPECT_DEATH({
         VmHarness h(2);
-        const_cast<ScriptApp &>(app); // silence unused warnings
         ScriptApp bad(1, [](std::uint32_t, const auto &m) {
             std::vector<jvm::Action> s;
-            s.push_back(jvm::Action::monitorWait(m[0]));
+            s.push_back(jvm::Action::monitorWait(m[0])); // never acquired!
             return s;
         });
         h.vm.run(bad, 1);

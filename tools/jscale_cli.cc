@@ -18,7 +18,7 @@
  * Common flags: --app <name> --threads <list> --scale <f> --seed <n>
  *               --heap-factor <f> --compartments --biased [--groups g]
  *               --adaptive --governor <policy> --gclog <path> --csv
- *               --faults <spec> --watchdog --checkpoint <path> --resume
+ *               --faults <spec> --watchdog
  */
 
 #include <algorithm>
@@ -98,8 +98,6 @@ struct CliOptions
     fault::FaultPlan fault_plan;
     bool watchdog = false;
     std::uint64_t watchdog_interval_ms = 1000;
-    std::string checkpoint_path;
-    bool resume = false;
     std::vector<double> intensities = {0.0, 0.25, 0.5, 0.75, 1.0};
     std::uint64_t horizon_ms = 0; // 0 = auto (3/4 of probe run)
     /** Arm the invariant oracle suite on every run. */
@@ -181,11 +179,13 @@ usage(int code)
         "            every point, executes only those hashing to\n"
         "            --index, persists each finished point durably in\n"
         "            --cache-dir (nested: sweep, study, lifespan,\n"
-        "            golden, resilience, fuzz)\n"
+        "            golden, resilience, profile, fuzz, collapse)\n"
         "  merge     reassemble a sharded campaign from --cache-dir;\n"
         "            the output is byte-identical to a single-process\n"
         "            run, and missing points become honest failure\n"
         "            rows (exit 3) unless --fill re-runs them locally\n"
+        "            (merge --fill also resumes an interrupted\n"
+        "            campaign: finished points are salvaged)\n"
         "  campaign  fork --shards workers, supervise them with a\n"
         "            wall-clock watchdog and crash/timeout retries\n"
         "            (exponential backoff, bounded budget), then merge\n"
@@ -230,9 +230,6 @@ usage(int code)
         "  --watchdog          arm the sim-time livelock watchdog\n"
         "  --watchdog-interval-ms <n>  watchdog check interval\n"
         "                      (default 1000 simulated ms)\n"
-        "  --checkpoint <path> record completed runs in a ledger file\n"
-        "  --resume            skip runs already recorded complete\n"
-        "                      (requires --checkpoint)\n"
         "  --intensities <l>   resilience x-axis, comma-separated\n"
         "                      fractions (default 0,0.25,0.5,0.75,1)\n"
         "  --horizon-ms <n>    resilience fault window in simulated ms\n"
@@ -446,10 +443,6 @@ parse(int argc, char **argv)
                 std::cerr << "--watchdog-interval-ms must be positive\n";
                 std::exit(2);
             }
-        } else if (arg == "--checkpoint") {
-            o.checkpoint_path = value();
-        } else if (arg == "--resume") {
-            o.resume = true;
         } else if (arg == "--intensities") {
             o.intensities.clear();
             std::stringstream ss(value());
@@ -650,10 +643,6 @@ parse(int argc, char **argv)
             usage(2);
         }
     }
-    if (o.resume && o.checkpoint_path.empty()) {
-        std::cerr << "--resume requires --checkpoint <path>\n";
-        std::exit(2);
-    }
     return o;
 }
 
@@ -701,8 +690,6 @@ experimentConfig(const CliOptions &o)
     cfg.faults = o.fault_plan;
     cfg.watchdog = o.watchdog;
     cfg.watchdog_config.interval = o.watchdog_interval_ms * units::MS;
-    cfg.checkpoint_path = o.checkpoint_path;
-    cfg.resume = o.resume;
     cfg.vm.locks = o.locks;
     cfg.oracles = o.oracles;
     cfg.profile = o.profile;
@@ -1602,13 +1589,15 @@ void
 requireShardable(const std::string &cmd)
 {
     for (const char *ok : {"sweep", "study", "lifespan", "golden",
-                           "resilience", "fuzz", "collapse"}) {
+                           "resilience", "profile", "fuzz",
+                           "collapse"}) {
         if (cmd == ok)
             return;
     }
     std::cerr << "'" << cmd
               << "' cannot run sharded (supported: sweep, study, "
-                 "lifespan, golden, resilience, fuzz, collapse)\n";
+                 "lifespan, golden, resilience, profile, fuzz, "
+                 "collapse)\n";
     std::exit(2);
 }
 
