@@ -321,6 +321,140 @@ TEST_F(RunCacheTest, ChangedSeedReRunsEveryPoint)
     EXPECT_GT(results[0].total_tasks, 0u);
 }
 
+/**
+ * Checkpoint/resume: the run cache is the only record of finished
+ * campaign points, so the durability guarantees the old ledger gave
+ * are pinned here against it.
+ */
+class CheckpointTest : public RunCacheTest
+{
+  protected:
+    /** The one record in the cache directory whose name starts @p prefix. */
+    std::filesystem::path recordStartingWith(const std::string &prefix) const
+    {
+        std::vector<std::filesystem::path> hits;
+        for (const auto &e : std::filesystem::directory_iterator(dir_))
+            if (e.path().filename().string().rfind(prefix, 0) == 0)
+                hits.push_back(e.path());
+        EXPECT_EQ(hits.size(), 1u) << prefix;
+        return hits.empty() ? std::filesystem::path() : hits.front();
+    }
+
+    static jvm::RunResult marker(const std::string &app, std::uint32_t t)
+    {
+        jvm::RunResult r;
+        r.app_name = app;
+        r.threads = t;
+        r.run_error = app + " t" + std::to_string(t);
+        return r;
+    }
+};
+
+TEST_F(CheckpointTest, RecordedKeysSurviveReload)
+{
+    {
+        core::RunCache cache(dir_, "fp-1");
+        cache.store("xalan|t4|s1", marker("xalan", 4));
+        cache.store("xalan|t8|s2", marker("xalan", 8));
+        cache.store("xalan|t4|s1", marker("xalan", 4)); // re-store: one file
+    }
+    // A fresh instance (a later process) finds every stored point.
+    core::RunCache reloaded(dir_, "fp-1");
+    jvm::RunResult out;
+    ASSERT_TRUE(reloaded.load("xalan|t4|s1", out));
+    EXPECT_EQ(out.run_error, "xalan t4");
+    ASSERT_TRUE(reloaded.load("xalan|t8|s2", out));
+    EXPECT_EQ(out.run_error, "xalan t8");
+    EXPECT_FALSE(reloaded.load("xalan|t16|s3", out));
+    const auto files = std::distance(
+        std::filesystem::directory_iterator(dir_),
+        std::filesystem::directory_iterator());
+    EXPECT_EQ(files, 2);
+}
+
+TEST_F(CheckpointTest, FingerprintMismatchStartsFresh)
+{
+    {
+        core::RunCache cache(dir_, "fp-1");
+        cache.store("xalan|t4|s1", marker("xalan", 4));
+    }
+    core::RunCache other(dir_, "fp-2");
+    jvm::RunResult out;
+    EXPECT_FALSE(other.load("xalan|t4|s1", out));
+    // Storing under the new fingerprint is visible to that campaign
+    // and leaves the first campaign's point untouched.
+    other.store("h2|t2|s9", marker("h2", 2));
+    core::RunCache reread(dir_, "fp-2");
+    ASSERT_TRUE(reread.load("h2|t2|s9", out));
+    EXPECT_EQ(out.run_error, "h2 t2");
+    EXPECT_FALSE(reread.load("xalan|t4|s1", out));
+    ASSERT_TRUE(core::RunCache(dir_, "fp-1").load("xalan|t4|s1", out));
+    EXPECT_EQ(out.run_error, "xalan t4");
+}
+
+TEST_F(CheckpointTest, MissingFileLoadsEmpty)
+{
+    // A cache directory that was never created is simply empty.
+    core::RunCache cache(scratch_.file("never-created"), "fp-1");
+    jvm::RunResult out;
+    EXPECT_FALSE(cache.load("xalan|t4|s1", out));
+    EXPECT_FALSE(std::filesystem::exists(scratch_.file("never-created")));
+}
+
+TEST_F(CheckpointTest, TornTrailingEntryIsDroppedNotFatal)
+{
+    core::ExperimentConfig plain_cfg = cachedSweepCfg();
+    plain_cfg.run_cache_dir.clear();
+    const auto reference =
+        core::ExperimentRunner(plain_cfg).sweep("sunflow", {2, 4});
+    {
+        core::ExperimentRunner runner(cachedSweepCfg());
+        runner.sweep("sunflow", {2, 4});
+    }
+    // Simulate a record cut short mid-write: the 4T point loses its tail.
+    const std::filesystem::path torn = recordStartingWith("sunflow_t4_");
+    std::filesystem::resize_file(torn, std::filesystem::file_size(torn) / 2);
+
+    // The torn point re-executes rather than being trusted; the intact
+    // one is salvaged, and the campaign matches a plain run.
+    core::resetCampaignPointStats();
+    core::ExperimentRunner runner(cachedSweepCfg());
+    const auto resumed = runner.sweep("sunflow", {2, 4});
+    EXPECT_EQ(core::campaignPointStats().salvaged.load(), 1u);
+    EXPECT_EQ(core::campaignPointStats().executed.load(), 1u);
+    ASSERT_EQ(resumed.size(), reference.size());
+    for (std::size_t i = 0; i < resumed.size(); ++i)
+        EXPECT_EQ(canonical("p", resumed[i]), canonical("p", reference[i]))
+            << "point " << i;
+}
+
+TEST_F(CheckpointTest, GarbageLinesAreSkippedNotFatal)
+{
+    {
+        core::ExperimentRunner runner(cachedSweepCfg());
+        runner.sweep("sunflow", {2});
+    }
+    // Disk corruption: junk in a stray file, and junk appended after a
+    // valid record's trailer.
+    std::ofstream(scratch_.file("scribble"), std::ios::binary)
+        << "\x01\x02\xffscribble\n";
+    std::ofstream(recordStartingWith("sunflow_t2_"),
+                  std::ios::app | std::ios::binary)
+        << "\x01\x02\xffscribble\n";
+
+    core::resetCampaignPointStats();
+    core::ExperimentRunner runner(cachedSweepCfg());
+    const auto results = runner.sweep("sunflow", {2, 4});
+    // Neither junk is fatal: the complete 2T record is still salvaged,
+    // and only the new point runs.
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_EQ(core::campaignPointStats().salvaged.load(), 1u);
+    EXPECT_EQ(core::campaignPointStats().executed.load(), 1u);
+    EXPECT_EQ(core::campaignPointStats().failed.load(), 0u);
+    for (const auto &r : results)
+        EXPECT_GT(r.total_tasks, 0u);
+}
+
 TEST(CampaignPointStatsTest, ResetZeroesEveryCounter)
 {
     core::campaignPointStats().salvaged += 3;
