@@ -1,14 +1,16 @@
 /**
  * @file
  * E12 — simulator micro-benchmarks (google-benchmark): throughput of
- * the event queue, the allocation/death path, the monitor fast path and
- * a full simulated application run. These bound the cost of every
+ * the event queue, the allocation/death path, the monitor fast path,
+ * the OS scheduler's wake/steal/slice-end paths at 48 cores and a full
+ * simulated application run. These bound the cost of every
  * experiment above and guard against performance regressions in the
  * simulation kernel itself.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "jvm/heap/heap.hh"
 #include "jvm/runtime/listener.hh"
 #include "machine/machine.hh"
+#include "os/scheduler.hh"
 #include "sim/event.hh"
 #include "sim/simulation.hh"
 #include "stats/stats.hh"
@@ -211,6 +214,145 @@ BM_RecurringEventTick(benchmark::State &state)
 }
 BENCHMARK(BM_RecurringEventTick);
 
+/** Scheduler client with fixed bursts and a fixed outcome per burst. */
+class BurstClient : public os::SchedClient
+{
+  public:
+    BurstClient(Ticks burst, os::BurstOutcome outcome)
+        : burst_(burst), outcome_(outcome)
+    {}
+
+    Ticks
+    planBurst(Ticks, Ticks limit) override
+    {
+        return std::min(burst_, limit);
+    }
+
+    os::BurstOutcome
+    finishBurst(Ticks, Ticks) override
+    {
+        return outcome_;
+    }
+
+  private:
+    Ticks burst_;
+    os::BurstOutcome outcome_;
+};
+
+/** The paper's 48-core machine, all cores enabled, with a scheduler and
+ *  the clients it runs. */
+struct SchedBench
+{
+    SchedBench()
+        : sim(1), mach(machine::Machine::amd6168_4p48c()),
+          sched((mach.enableCores(48), sim), mach)
+    {}
+
+    /** Register and start a thread homed on @p home. */
+    os::OsThread *
+    spawn(machine::CoreId home, Ticks burst, os::BurstOutcome outcome)
+    {
+        clients.push_back(std::make_unique<BurstClient>(burst, outcome));
+        os::OsThread *t = sched.registerThread(
+            clients.back().get(), os::ThreadKind::Mutator, home);
+        sched.start(t);
+        return t;
+    }
+
+    /** Park @p thread: run events until its burst ends in Blocked. */
+    void
+    runUntilBlocked(const os::OsThread *thread)
+    {
+        while (thread->state() != os::ThreadState::Blocked && sim.step()) {
+        }
+    }
+
+    sim::Simulation sim;
+    machine::Machine mach;
+    os::Scheduler sched;
+    std::vector<std::unique_ptr<BurstClient>> clients;
+};
+
+/** A burst that outlives any benchmark: the core stays busy. */
+constexpr Ticks kBusyBurst = 4 * units::MS;
+/** A burst that ends within one sim step: the thread blocks again. */
+constexpr Ticks kBlipBurst = 1 * units::US;
+
+void
+BM_SchedulerWakeKick(benchmark::State &state)
+{
+    // h2's common case: a monitor handoff wakes one thread while the
+    // other 47 cores sit idle with nothing to steal. Each wake kicks
+    // every idle core into a steal attempt; the woken thread then runs
+    // one short burst and blocks again.
+    SchedBench b;
+    os::OsThread *t = b.spawn(0, kBlipBurst, os::BurstOutcome::Blocked);
+    b.runUntilBlocked(t);
+    for (auto _ : state) {
+        b.sched.wake(t);
+        b.runUntilBlocked(t);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SchedulerWakeKick);
+
+void
+BM_SchedulerSteal(benchmark::State &state)
+{
+    SchedBench b;
+    if (state.range(0) == 0) {
+        // One victim on the thief's socket: core 0 runs a long burst and
+        // the woken thread, homed on core 0, queues behind it; core 1,
+        // the only idle core, steals it. The other 46 cores are busy.
+        // The spawn order matters: each start kicks every idle core.
+        b.spawn(0, kBusyBurst, os::BurstOutcome::Ready);
+        os::OsThread *t =
+            b.spawn(0, kBlipBurst, os::BurstOutcome::Blocked);
+        for (machine::CoreId c = 2; c < 48; ++c)
+            b.spawn(c, kBusyBurst, os::BurstOutcome::Ready);
+        b.runUntilBlocked(t);
+        const std::uint64_t steals0 = b.sched.schedStats().steals;
+        for (auto _ : state) {
+            b.sched.wake(t);
+            b.runUntilBlocked(t);
+        }
+        state.SetItemsProcessed(static_cast<std::int64_t>(
+            b.sched.schedStats().steals - steals0));
+        return;
+    }
+    // Only single-thread queues on remote sockets: every core of
+    // sockets 1-3 runs a long burst with one thread queued behind it,
+    // which is no imbalance worth a cross-socket migration. Each kick
+    // makes the 12 idle cores of socket 0 try, and fail, to steal.
+    for (int round = 0; round < 2; ++round) {
+        for (machine::CoreId c = 12; c < 48; ++c)
+            b.spawn(c, kBusyBurst, os::BurstOutcome::Ready);
+    }
+    for (auto _ : state)
+        b.sched.kickAll();
+    benchmark::DoNotOptimize(b.sched.schedStats().steals);
+    state.SetItemsProcessed(state.iterations() * 12);
+}
+BENCHMARK(BM_SchedulerSteal)->Arg(0)->Arg(1);
+
+void
+BM_SchedulerSliceEndRedispatch(benchmark::State &state)
+{
+    // Round-robin at full load: two CPU-bound threads per core, so
+    // every slice end re-queues the thread and dispatches its peer.
+    // Every core gets its first thread before any gets a second, so no
+    // core is ever idle to steal one.
+    SchedBench b;
+    for (int round = 0; round < 2; ++round) {
+        for (machine::CoreId c = 0; c < 48; ++c)
+            b.spawn(c, 100 * units::US, os::BurstOutcome::Ready);
+    }
+    for (auto _ : state)
+        b.sim.step();
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SchedulerSliceEndRedispatch);
+
 void
 BM_ListenerDispatchEmpty(benchmark::State &state)
 {
@@ -390,15 +532,19 @@ void
 BM_FullApplicationRun(benchmark::State &state)
 {
     // End-to-end: one xalan run at 8 threads, small scale.
+    // Items are simulated events, so bench_check.py ratchets it.
     core::ExperimentConfig cfg;
     cfg.workload_scale = 0.1;
+    std::uint64_t events = 0;
     for (auto _ : state) {
         core::ExperimentRunner runner(cfg);
         const jvm::RunResult r = runner.runApp("xalan", 8);
         benchmark::DoNotOptimize(r.wall_time);
+        events += r.sim_events;
         state.counters["sim_events"] =
             static_cast<double>(r.sim_events);
     }
+    state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_FullApplicationRun)->Unit(benchmark::kMillisecond);
 

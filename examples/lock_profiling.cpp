@@ -22,7 +22,8 @@ main(int argc, char **argv)
     const std::uint32_t threads =
         argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 16;
 
-    jscale::core::ExperimentRunner runner;
+    const jscale::core::ExperimentConfig cfg;
+    jscale::core::ExperimentRunner runner(cfg);
     jscale::lockprof::LockProfiler profiler;
 
     const jscale::jvm::RunResult r = runner.runApp(

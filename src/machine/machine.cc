@@ -1,5 +1,6 @@
 #include "machine/machine.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -85,7 +86,11 @@ Machine::enableCores(std::uint32_t n, EnablePolicy policy)
             }
         }
     }
-    enabled_count_ = n;
+    enabled_ids_.clear();
+    for (const auto &c : cores_) {
+        if (c.enabled())
+            enabled_ids_.push_back(c.id());
+    }
 }
 
 bool
@@ -94,25 +99,18 @@ Machine::setCoreOnline(CoreId id, bool online)
     Core &c = core(id);
     if (c.enabled() == online)
         return true;
-    if (!online && enabled_count_ <= 1)
+    if (!online && enabled_ids_.size() <= 1)
         return false; // never offline the last core
     c.setEnabled(online);
-    enabled_count_ += online ? 1 : -1;
-    if (online)
+    const auto pos =
+        std::lower_bound(enabled_ids_.begin(), enabled_ids_.end(), id);
+    if (online) {
+        enabled_ids_.insert(pos, id);
         c.setSpeedFactor(1.0);
-    return true;
-}
-
-std::vector<CoreId>
-Machine::enabledCoreIds() const
-{
-    std::vector<CoreId> ids;
-    ids.reserve(enabled_count_);
-    for (const auto &c : cores_) {
-        if (c.enabled())
-            ids.push_back(c.id());
+    } else {
+        enabled_ids_.erase(pos);
     }
-    return ids;
+    return true;
 }
 
 std::uint32_t

@@ -72,9 +72,6 @@ class Core
     /** Whether this core participates in the current experiment. */
     bool enabled() const { return enabled_; }
 
-    /** Enable or disable the core (experiment setup only). */
-    void setEnabled(bool e) { enabled_ = e; }
-
     /**
      * Current speed factor in (0, 1]: 1.0 is nominal frequency, lower
      * values model transient throttling (fault injection). Affects how
@@ -84,6 +81,11 @@ class Core
     void setSpeedFactor(double f) { speed_factor_ = f; }
 
   private:
+    /** Only the Machine toggles cores, so its enabled-id list stays
+     *  in step with the flags. */
+    friend class Machine;
+    void setEnabled(bool e) { enabled_ = e; }
+
     CoreId id_;
     NodeId socket_;
     double freq_ghz_;
@@ -145,10 +147,21 @@ class Machine
     bool setCoreOnline(CoreId id, bool online);
 
     /** Number of currently enabled cores. */
-    std::uint32_t enabledCores() const { return enabled_count_; }
+    std::uint32_t enabledCores() const
+    {
+        return static_cast<std::uint32_t>(enabled_ids_.size());
+    }
 
-    /** Ids of the enabled cores, ascending. */
-    std::vector<CoreId> enabledCoreIds() const;
+    /**
+     * Ids of the enabled cores, ascending. The list is kept up to date
+     * by enableCores and setCoreOnline, so the reference stays valid but
+     * changes under a caller that toggles a core; no caller toggles one
+     * while looping over it.
+     */
+    const std::vector<CoreId> &enabledCoreIds() const
+    {
+        return enabled_ids_;
+    }
 
     /** Number of distinct sockets with at least one enabled core. */
     std::uint32_t enabledSockets() const;
@@ -165,7 +178,8 @@ class Machine
   private:
     MachineConfig config_;
     std::vector<Core> cores_;
-    std::uint32_t enabled_count_ = 0;
+    /** Ids of the enabled cores, ascending (see enabledCoreIds). */
+    std::vector<CoreId> enabled_ids_;
 };
 
 } // namespace jscale::machine

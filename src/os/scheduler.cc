@@ -70,6 +70,7 @@ Scheduler::Scheduler(sim::Simulation &sim, machine::Machine &mach,
                       config_.min_poll_latency <= config_.max_poll_latency,
                   "bad safepoint poll latency bounds");
     cores_.resize(mach.cores().size());
+    sockets_.resize(mach.config().sockets);
     for (std::size_t i = 0; i < cores_.size(); ++i) {
         cores_[i].slice_end = std::make_unique<SliceEndEvent>(
             *this, static_cast<machine::CoreId>(i));
@@ -128,7 +129,7 @@ Scheduler::registerThread(SchedClient *client, ThreadKind kind,
                           std::uint32_t group)
 {
     jscale_assert(client != nullptr, "null scheduler client");
-    const auto enabled = mach_.enabledCoreIds();
+    const auto &enabled = mach_.enabledCoreIds();
     jscale_assert(!enabled.empty(),
                   "registerThread before any core was enabled");
     machine::CoreId home_core;
@@ -179,8 +180,8 @@ std::size_t
 Scheduler::totalReadyQueued() const
 {
     std::size_t n = 0;
-    for (const auto &cs : cores_)
-        n += cs.ready.size();
+    for (const auto &load : sockets_)
+        n += load.queued;
     return n;
 }
 
@@ -285,7 +286,26 @@ Scheduler::enqueueReady(OsThread *thread, machine::CoreId core_id)
     // least-loaded online core so displaced threads keep making progress.
     if (!mach_.core(core_id).enabled())
         core_id = migrationTarget(core_id);
-    cores_[core_id].ready.push_back(thread);
+    auto &queue = cores_[core_id].ready;
+    queue.push_back(thread);
+    noteQueueResized(core_id, queue.size() - 1);
+}
+
+void
+Scheduler::noteQueueResized(machine::CoreId core_id, std::size_t before)
+{
+    const std::size_t after = cores_[core_id].ready.size();
+    SocketLoad &load = sockets_[mach_.socketOf(core_id)];
+    load.queued = load.queued - before + after;
+    if ((before >= 2) != (after >= 2)) {
+        if (after >= 2) {
+            ++load.multi_queued;
+            ++multi_queued_;
+        } else {
+            --load.multi_queued;
+            --multi_queued_;
+        }
+    }
 }
 
 machine::CoreId
@@ -313,8 +333,9 @@ Scheduler::migrationTarget(machine::CoreId from) const
 }
 
 OsThread *
-Scheduler::pickFromQueue(std::deque<OsThread *> &queue, Ticks now)
+Scheduler::pickFromQueue(machine::CoreId core_id, Ticks now)
 {
+    auto &queue = cores_[core_id].ready;
     for (auto it = queue.begin(); it != queue.end(); ++it) {
         // A stopped group's threads stay parked in the queue until their
         // tenant's world resumes; other groups schedule around them.
@@ -322,7 +343,11 @@ Scheduler::pickFromQueue(std::deque<OsThread *> &queue, Ticks now)
             continue;
         if (policy_->eligible(**it, now) || (*it)->client()->urgent()) {
             OsThread *t = *it;
-            queue.erase(it);
+            if (it == queue.begin())
+                queue.pop_front();
+            else
+                queue.erase(it);
+            noteQueueResized(core_id, queue.size() + 1);
             return t;
         }
     }
@@ -334,11 +359,30 @@ Scheduler::stealFor(machine::CoreId thief, Ticks now)
 {
     if (!config_.stealing)
         return nullptr;
+    const machine::CoreId victim = stealVictim(thief);
+    if (victim == thief)
+        return nullptr;
+    OsThread *t = pickFromQueue(victim, now);
+    if (t)
+        ++stats_.steals;
+    return t;
+}
+
+machine::CoreId
+Scheduler::stealVictim(machine::CoreId thief) const
+{
     // Deterministic victim selection, NUMA-aware: same-socket victims
     // are preferred; remote sockets are raided only for real imbalance
     // (two or more queued threads), since cross-socket migration is
     // expensive and would otherwise poison hot lock-handoff chains.
     const machine::NodeId my_socket = mach_.socketOf(thief);
+    // The common idle case: nothing queued on this socket beyond the
+    // thief's own queue and no remote core with two or more threads, so
+    // the scan below could not find a victim.
+    const SocketLoad &mine = sockets_[my_socket];
+    if (mine.queued == cores_[thief].ready.size() &&
+        mine.multi_queued == multi_queued_)
+        return thief;
     machine::CoreId victim = thief;
     std::size_t best = 0;
     bool best_local = false;
@@ -359,12 +403,7 @@ Scheduler::stealFor(machine::CoreId thief, Ticks now)
             best_local = local;
         }
     }
-    if (best == 0)
-        return nullptr;
-    OsThread *t = pickFromQueue(cores_[victim].ready, now);
-    if (t)
-        ++stats_.steals;
-    return t;
+    return victim;
 }
 
 void
@@ -374,7 +413,7 @@ Scheduler::maybeDispatch(machine::CoreId core_id)
     if (allStopped() || cs.running || !mach_.core(core_id).enabled())
         return;
     const Ticks now = sim_.now();
-    OsThread *thread = pickFromQueue(cs.ready, now);
+    OsThread *thread = pickFromQueue(core_id, now);
     bool stolen = false;
     if (!thread) {
         thread = stealFor(core_id, now);
@@ -592,10 +631,13 @@ Scheduler::setCoreOnline(machine::CoreId core_id, bool online)
     // re-admitted in their original order.
     if (!cs.ready.empty()) {
         const machine::CoreId target = migrationTarget(core_id);
-        stats_.displaced_threads += cs.ready.size();
+        const std::size_t moved = cs.ready.size();
+        stats_.displaced_threads += moved;
         auto &dst = cores_[target].ready;
         dst.insert(dst.end(), cs.ready.begin(), cs.ready.end());
         cs.ready.clear();
+        noteQueueResized(core_id, moved);
+        noteQueueResized(target, dst.size() - moved);
     }
     // The running burst (if any) is truncated at its next poll; the
     // sliceEnd re-enqueue then redirects away from the offline core.
@@ -647,10 +689,13 @@ Scheduler::stallThread(OsThread *thread, Ticks until)
       }
       case ThreadState::Ready: {
         // Pull the thread out of whichever run queue holds it.
-        for (auto &cs : cores_) {
-            auto it = std::find(cs.ready.begin(), cs.ready.end(), thread);
-            if (it != cs.ready.end()) {
-                cs.ready.erase(it);
+        for (std::size_t id = 0; id < cores_.size(); ++id) {
+            auto &queue = cores_[id].ready;
+            auto it = std::find(queue.begin(), queue.end(), thread);
+            if (it != queue.end()) {
+                queue.erase(it);
+                noteQueueResized(static_cast<machine::CoreId>(id),
+                                 queue.size() + 1);
                 break;
             }
         }

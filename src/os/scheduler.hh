@@ -228,6 +228,31 @@ class Scheduler
     /** Threads queued on all run queues (total suspend-wait backlog). */
     std::size_t totalReadyQueued() const;
 
+    /** @name Run-queue occupancy index
+     * Kept per socket on every run-queue change, so an idle core can
+     * tell in O(1) that it has nothing to steal. */
+    /** @{ */
+    /** Threads queued on the run queues of @p socket's cores. */
+    std::size_t socketQueued(machine::NodeId socket) const
+    {
+        return sockets_[socket].queued;
+    }
+
+    /** Cores of @p socket with two or more queued threads. */
+    std::uint32_t socketMultiQueued(machine::NodeId socket) const
+    {
+        return sockets_[socket].multi_queued;
+    }
+    /** @} */
+
+    /**
+     * Core whose run queue an idle @p thief would raid: same-socket
+     * victims first, then remote cores holding two or more threads; the
+     * longest queue wins, then the lowest id. Returns @p thief when no
+     * core qualifies. Thread eligibility is not considered here.
+     */
+    machine::CoreId stealVictim(machine::CoreId thief) const;
+
     /** Run statistics. */
     const SchedulerStats &schedStats() const { return stats_; }
 
@@ -248,6 +273,13 @@ class Scheduler
         /** Core speed factor captured at dispatch (burst stretching). */
         double speed = 1.0;
         std::unique_ptr<SliceEndEvent> slice_end;
+    };
+
+    /** Run-queue occupancy of one socket (see socketQueued). */
+    struct SocketLoad
+    {
+        std::size_t queued = 0;
+        std::uint32_t multi_queued = 0;
     };
 
     /** Per-scheduling-group (tenant) stop-the-world state. */
@@ -276,9 +308,12 @@ class Scheduler
     void maybeDispatch(machine::CoreId core_id);
     void dispatch(machine::CoreId core_id, OsThread *thread, bool stolen);
     void sliceEnd(machine::CoreId core_id);
-    OsThread *pickFromQueue(std::deque<OsThread *> &queue, Ticks now);
+    OsThread *pickFromQueue(machine::CoreId core_id, Ticks now);
     OsThread *stealFor(machine::CoreId thief, Ticks now);
     void enqueueReady(OsThread *thread, machine::CoreId core_id);
+    /** Update the occupancy index after @p core_id's run queue changed
+     *  from @p before threads to its current length. */
+    void noteQueueResized(machine::CoreId core_id, std::size_t before);
     void accountStateExit(OsThread *thread, Ticks now);
     void maybeFireStwCallback(std::uint32_t group);
     void timedWakeFired(TimedWakeEvent *ev);
@@ -300,6 +335,9 @@ class Scheduler
 
     std::vector<std::unique_ptr<OsThread>> threads_;
     std::vector<CoreState> cores_;
+    /** Occupancy index, by socket, plus its machine-wide multi count. */
+    std::vector<SocketLoad> sockets_;
+    std::uint32_t multi_queued_ = 0;
     std::uint32_t next_home_rr_ = 0;
     std::uint32_t running_count_ = 0;
     std::uint32_t finished_count_ = 0;

@@ -15,6 +15,7 @@
 #include "core/report.hh"
 #include "jvm/locks/policy.hh"
 #include "lockprof/lockprof.hh"
+#include "test_dir.hh"
 #include "trace/trace.hh"
 
 namespace {
@@ -98,6 +99,52 @@ TEST(Determinism, CompartmentalizedModeReplays)
     const auto b = run();
     EXPECT_EQ(a.wall_time, b.wall_time);
     EXPECT_EQ(a.gc.local_count, b.gc.local_count);
+}
+
+TEST(Determinism, AllObserversArmedTogetherArePure)
+{
+    // Metamorphic: each observer is pure on its own, and arming them all
+    // on one run (oracles, profiler, timeline, sampler and the object
+    // tracer) must still leave every primary stat byte-identical. The
+    // sampler's ticks are sim events of their own, so sim_events is the
+    // one stat allowed to differ, by exactly those ticks.
+    testutil::ScopedTestDir dir;
+    core::ExperimentRunner plain(cfgWith(31));
+    const jvm::RunResult a = plain.runApp("xalan", 8);
+
+    auto cfg = cfgWith(31);
+    cfg.oracles = true;
+    cfg.profile = true;
+    cfg.timeline_path = dir.file("all.json");
+    cfg.metrics_interval = 1 * units::MS;
+    core::ExperimentRunner observed(cfg);
+    trace::MemoryTraceSink sink;
+    trace::ObjectTracer tracer(sink);
+    const jvm::RunResult b =
+        observed.runApp("xalan", 8, [&tracer](jvm::JavaVm &vm) {
+            vm.listeners().add(&tracer);
+        });
+
+    // Every observer really ran.
+    EXPECT_TRUE(b.profile.enabled);
+    EXPECT_GT(b.timeline_events, 0u);
+    EXPECT_GT(b.metric_rows, 1u);
+    EXPECT_GT(tracer.eventsEmitted(), 0u);
+    EXPECT_TRUE(b.artifact_errors.empty());
+
+    EXPECT_EQ(b.sim_events - a.sim_events, b.metric_rows - 1);
+    const auto primary = [](const jvm::RunResult &r) {
+        const stats::StatSnapshot all = core::runStatSnapshot(r);
+        stats::StatSnapshot snap;
+        for (const stats::StatValue &v : all.values()) {
+            if (v.name != "sim_events")
+                snap.add(v.name, v.value, v.unit);
+        }
+        std::ostringstream csv;
+        snap.printCsv(csv);
+        return csv.str();
+    };
+    EXPECT_EQ(primary(a), primary(b));
 }
 
 TEST(Determinism, BiasedSchedulingReplays)

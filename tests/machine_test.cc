@@ -120,6 +120,51 @@ TEST(Machine, ScatterEqualsCompactWhenFull)
     EXPECT_EQ(a.enabledCoreIds(), b.enabledCoreIds());
 }
 
+/** Enabled ids recounted from the per-core flags. */
+std::vector<machine::CoreId>
+recountEnabled(const Machine &m)
+{
+    std::vector<machine::CoreId> ids;
+    for (const auto &c : m.cores()) {
+        if (c.enabled())
+            ids.push_back(c.id());
+    }
+    return ids;
+}
+
+TEST(Machine, EnabledCoreIdsTrackEnableAndOnline)
+{
+    Machine m(Machine::amd6168_4p48c());
+    const auto &ids = m.enabledCoreIds();
+    m.enableCores(14);
+    EXPECT_EQ(ids, recountEnabled(m));
+    EXPECT_EQ(ids.size(), 14u);
+    m.enableCores(6, Machine::EnablePolicy::Scatter);
+    EXPECT_EQ(ids, recountEnabled(m));
+    EXPECT_EQ(ids, (std::vector<machine::CoreId>{0, 1, 12, 13, 24, 36}));
+
+    // Offlining and onlining keep the list ascending and in step.
+    EXPECT_TRUE(m.setCoreOnline(12, false));
+    EXPECT_EQ(ids, (std::vector<machine::CoreId>{0, 1, 13, 24, 36}));
+    EXPECT_TRUE(m.setCoreOnline(5, true));
+    EXPECT_EQ(ids, (std::vector<machine::CoreId>{0, 1, 5, 13, 24, 36}));
+    EXPECT_TRUE(m.setCoreOnline(5, true)); // already online: no-op
+    EXPECT_TRUE(m.setCoreOnline(47, false)); // already offline: no-op
+    EXPECT_EQ(ids, recountEnabled(m));
+    EXPECT_EQ(m.enabledCores(), 6u);
+
+    // Down to one core; the last one cannot go.
+    for (const machine::CoreId id : {0u, 1u, 5u, 13u, 24u})
+        EXPECT_TRUE(m.setCoreOnline(id, false));
+    EXPECT_FALSE(m.setCoreOnline(36, false));
+    EXPECT_EQ(ids, (std::vector<machine::CoreId>{36}));
+    EXPECT_EQ(m.enabledCores(), 1u);
+
+    m.enableCores(48, Machine::EnablePolicy::Compact);
+    EXPECT_EQ(ids, recountEnabled(m));
+    EXPECT_EQ(ids.size(), 48u);
+}
+
 /** Enabled-socket count follows compact fill. */
 class EnabledSocketsTest
     : public ::testing::TestWithParam<std::pair<std::uint32_t, std::uint32_t>>

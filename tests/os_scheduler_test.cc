@@ -1,14 +1,19 @@
 /**
  * @file
  * Tests for the OS scheduler: the burst protocol, preemption and
- * truncation, accounting, stop-the-world, stealing and policies.
+ * truncation, accounting, stop-the-world, stealing and policies, and a
+ * seeded randomized walk pinning the run-queue occupancy index and
+ * the idle-steal early return to a brute-force recount.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
+#include <string>
 #include <vector>
 
+#include "base/random.hh"
 #include "machine/machine.hh"
 #include "os/policy.hh"
 #include "os/scheduler.hh"
@@ -391,5 +396,220 @@ TEST(Scheduler, HelpersUnaffectedByBias)
     b.sim.run(5 * units::MS);
     EXPECT_TRUE(helper.finished());
 }
+
+/** Client whose bursts and outcomes come from a shared seeded stream. */
+class RandomClient : public os::SchedClient
+{
+  public:
+    explicit RandomClient(Rng &rng) : rng_(rng) {}
+
+    Ticks
+    planBurst(Ticks, Ticks limit) override
+    {
+        return static_cast<Ticks>(rng_.range(
+            1, static_cast<std::int64_t>(std::min<Ticks>(limit,
+                                                         500 * units::US))));
+    }
+
+    BurstOutcome
+    finishBurst(Ticks, Ticks) override
+    {
+        const std::uint64_t roll = rng_.below(100);
+        if (roll < 1)
+            return BurstOutcome::Finished;
+        return roll < 35 ? BurstOutcome::Blocked : BurstOutcome::Ready;
+    }
+
+    bool urgent() const override { return urgent_; }
+    void setUrgent(bool u) { urgent_ = u; }
+
+  private:
+    Rng &rng_;
+    bool urgent_ = false;
+};
+
+/**
+ * The idle-steal victim scan as it ran before the occupancy index: every
+ * other enabled core, local victims first, then remote cores with two or
+ * more queued threads; longest queue, then lowest id. Returns @p thief
+ * when nothing qualifies.
+ */
+machine::CoreId
+bruteForceVictim(const Scheduler &sched, const machine::Machine &mach,
+                 machine::CoreId thief)
+{
+    const machine::NodeId my_socket = mach.socketOf(thief);
+    machine::CoreId victim = thief;
+    std::size_t best = 0;
+    bool best_local = false;
+    for (const auto &core : mach.cores()) {
+        if (!core.enabled() || core.id() == thief)
+            continue;
+        const std::size_t len = sched.readyQueueDepth(core.id());
+        if (len == 0)
+            continue;
+        const bool local = core.socket() == my_socket;
+        if (!local && len < 2)
+            continue;
+        if ((local && !best_local) ||
+            (local == best_local && len > best)) {
+            best = len;
+            victim = core.id();
+            best_local = local;
+        }
+    }
+    return victim;
+}
+
+/** The occupancy index equals a recount of the run queues, and every
+ *  enabled core's steal victim equals the brute-force scan's. */
+::testing::AssertionResult
+indexMatchesQueues(const Scheduler &sched, const machine::Machine &mach)
+{
+    const std::uint32_t sockets = mach.config().sockets;
+    std::vector<std::size_t> queued(sockets, 0);
+    std::vector<std::uint32_t> multi(sockets, 0);
+    for (const auto &core : mach.cores()) {
+        const std::size_t len = sched.readyQueueDepth(core.id());
+        queued[core.socket()] += len;
+        multi[core.socket()] += len >= 2 ? 1 : 0;
+    }
+    for (machine::NodeId s = 0; s < sockets; ++s) {
+        if (sched.socketQueued(s) != queued[s] ||
+            sched.socketMultiQueued(s) != multi[s]) {
+            return ::testing::AssertionFailure()
+                   << "socket " << s << ": index " << sched.socketQueued(s)
+                   << " queued / " << sched.socketMultiQueued(s)
+                   << " multi, recount " << queued[s] << " / " << multi[s];
+        }
+    }
+    for (const auto &core : mach.cores()) {
+        if (!core.enabled())
+            continue;
+        const machine::CoreId got = sched.stealVictim(core.id());
+        const machine::CoreId want = bruteForceVictim(sched, mach, core.id());
+        if (got != want) {
+            return ::testing::AssertionFailure()
+                   << "thief " << core.id() << ": victim " << got
+                   << ", brute-force scan " << want;
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/** Machine preset and seed of one randomized walk. */
+struct WalkCase
+{
+    bool big; // 4p48c preset; otherwise the 2p8c test machine
+    std::uint64_t seed;
+};
+
+/** Deterministic test names (gtest would otherwise dump the bytes,
+ *  padding included). */
+void
+PrintTo(const WalkCase &wc, std::ostream *os)
+{
+    *os << (wc.big ? "4p48c" : "2p8c") << " seed " << wc.seed;
+}
+
+class SchedulerIndexWalk : public ::testing::TestWithParam<WalkCase>
+{
+};
+
+TEST_P(SchedulerIndexWalk, IndexAndVictimMatchBruteForce)
+{
+    const WalkCase wc = GetParam();
+    sim::Simulation sim(wc.seed);
+    machine::Machine mach(wc.big ? machine::Machine::amd6168_4p48c()
+                                 : machine::Machine::testMachine_2p8c());
+    mach.enableCores(mach.config().totalCores());
+    Scheduler sched(sim, mach);
+    Rng rng(wc.seed * 0x9e3779b97f4a7c15ULL + 1);
+    // Odd seeds gate mutators through the phase-staggered policy.
+    if (wc.seed % 2)
+        sched.setPolicy(std::make_unique<os::BiasedPolicy>(
+            2, 200 * units::US));
+
+    const std::uint32_t cores = mach.config().totalCores();
+    std::vector<std::unique_ptr<RandomClient>> clients;
+    std::vector<OsThread *> threads;
+    for (std::uint32_t i = 0; i < 3 * cores; ++i) {
+        clients.push_back(std::make_unique<RandomClient>(rng));
+        clients.back()->setUrgent(i % 7 == 0);
+        threads.push_back(sched.registerThread(
+            clients.back().get(),
+            i % 5 == 0 ? ThreadKind::Helper : ThreadKind::Mutator, {},
+            i % 2));
+    }
+    // Start threads only after every thread is registered; a start
+    // kicks every idle core.
+    for (OsThread *t : threads)
+        sched.start(t);
+    ASSERT_TRUE(indexMatchesQueues(sched, mach));
+
+    // Stop-the-world state per group: requested, and parked-callback seen.
+    bool stopped[2] = {false, false};
+    bool parked[2] = {false, false};
+    std::uint64_t refusals = 0;
+    const int steps = wc.big ? 1500 : 4000;
+    for (int step = 0; step < steps; ++step) {
+        const std::uint64_t roll = rng.below(100);
+        OsThread *t = threads[rng.below(threads.size())];
+        const auto core =
+            static_cast<machine::CoreId>(rng.below(cores));
+        if (roll < 55) {
+            sim.step();
+        } else if (roll < 75) {
+            if (t->state() == ThreadState::Blocked ||
+                t->state() == ThreadState::Sleeping)
+                sched.wake(t);
+        } else if (roll < 80) {
+            sched.stallThread(
+                t, sim.now() + static_cast<Ticks>(
+                                   rng.range(1, 300 * units::US)));
+        } else if (roll < 87) {
+            sched.setCoreOnline(core, !mach.core(core).enabled());
+        } else if (roll < 88) {
+            // Drain to one core: offlining the last must be refused.
+            for (machine::CoreId c = 0; c < cores; ++c)
+                sched.setCoreOnline(c, false);
+            ASSERT_EQ(mach.enabledCores(), 1u);
+            const machine::CoreId last = mach.enabledCoreIds().front();
+            EXPECT_FALSE(sched.setCoreOnline(last, false));
+            ++refusals;
+        } else if (roll < 93) {
+            const std::uint32_t g = rng.below(2);
+            if (!stopped[g]) {
+                stopped[g] = true;
+                parked[g] = false;
+                sched.stopTheWorld(g, [&parked, g] { parked[g] = true; });
+            } else if (parked[g]) {
+                stopped[g] = false;
+                sched.resumeWorld(g);
+            }
+        } else {
+            sched.kickAll();
+        }
+        ASSERT_TRUE(indexMatchesQueues(sched, mach)) << "after step " << step;
+    }
+    EXPECT_GT(refusals, 0u);
+    EXPECT_GT(sched.schedStats().steals, 0u);
+    EXPECT_GT(sched.schedStats().core_offlines, 0u);
+    EXPECT_GT(sched.schedStats().forced_stalls, 0u);
+}
+
+std::string
+walkCaseName(const ::testing::TestParamInfo<WalkCase> &info)
+{
+    return std::string(info.param.big ? "amd48" : "test8") + "_seed" +
+           std::to_string(info.param.seed);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeded, SchedulerIndexWalk,
+    ::testing::Values(WalkCase{false, 1}, WalkCase{false, 2},
+                      WalkCase{false, 3}, WalkCase{false, 4},
+                      WalkCase{true, 1}, WalkCase{true, 2}),
+    walkCaseName);
 
 } // namespace
