@@ -1,9 +1,10 @@
 /**
  * @file
  * E12 — simulator micro-benchmarks (google-benchmark): throughput of
- * the event queue, the allocation/death path, the monitor fast path,
- * the OS scheduler's wake/steal/slice-end paths at 48 cores and a full
- * simulated application run. These bound the cost of every
+ * the event queue (deep, churning and shallow with a straggler), the
+ * allocation/death path, the monitor fast path, the OS scheduler's
+ * wake/steal/slice-end paths at 48 cores and a full simulated
+ * application run. These bound the cost of every
  * experiment above and guard against performance regressions in the
  * simulation kernel itself.
  */
@@ -547,6 +548,50 @@ BM_FullApplicationRun(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_FullApplicationRun)->Unit(benchmark::kMillisecond);
+
+void
+BM_EventQueueShallowStraggler(benchmark::State &state)
+{
+    // The steady state of a closed-loop run after its last re-tune: 48
+    // short self-rescheduling events plus one far-future straggler. The
+    // straggler stretches the lane width over the whole pending span,
+    // so the short events share one lane that never drains; each
+    // iteration is one pop plus its reschedule into that lane.
+    sim::EventQueue q;
+    std::vector<std::unique_ptr<sim::RecurringEvent>> events;
+    for (Ticks i = 0; i < 48; ++i) {
+        events.push_back(std::make_unique<sim::RecurringEvent>(
+            q, 40 + i % 17, [] {}, "short"));
+        events.back()->start(1 + i);
+    }
+    sim::CallbackEvent straggler([] {}, "straggler");
+    q.schedule(&straggler, Ticks{1} << 40);
+    for (auto _ : state) {
+        sim::Event *ev = q.pop();
+        benchmark::DoNotOptimize(ev);
+        ev->process();
+    }
+    state.counters["retained"] =
+        static_cast<double>(q.retainedEntries());
+    state.SetItemsProcessed(state.iterations());
+    events.clear();
+    q.deschedule(&straggler);
+}
+BENCHMARK(BM_EventQueueShallowStraggler);
+
+void
+BM_SchedulerSliceEndKeepRunning(benchmark::State &state)
+{
+    // One CPU-bound thread per core: every slice end finds the core's
+    // run queue empty and keeps the thread on its core.
+    SchedBench b;
+    for (machine::CoreId c = 0; c < 48; ++c)
+        b.spawn(c, 100 * units::US, os::BurstOutcome::Ready);
+    for (auto _ : state)
+        b.sim.step();
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SchedulerSliceEndKeepRunning);
 
 } // namespace
 

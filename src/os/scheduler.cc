@@ -545,6 +545,13 @@ Scheduler::sliceEnd(machine::CoreId core_id)
             ++stats_.forced_stalls;
         } else {
             setThreadState(thread, ThreadState::Ready, now);
+            if (keepsCore(core_id, *thread, now)) {
+                // Exactly the dispatch maybeDispatch would make after
+                // the enqueue, minus the run-queue round trip.
+                thread->forced_sleep_until_ = 0;
+                dispatch(core_id, thread, false);
+                return;
+            }
             enqueueReady(thread, core_id);
         }
         thread->forced_sleep_until_ = 0;
@@ -570,6 +577,21 @@ Scheduler::sliceEnd(machine::CoreId core_id)
         maybeFireStwCallback(thread->group_);
     if (!allStopped())
         maybeDispatch(core_id);
+}
+
+bool
+Scheduler::keepsCore(machine::CoreId core_id, const OsThread &thread,
+                     Ticks now) const
+{
+    // The thread would be the only entry in an enabled, idle core's
+    // queue with no group stopped, so pickFromQueue would pop it
+    // straight back. Anything else (a peer kicked onto the core during
+    // finishBurst, a stop-the-world, queued peers, an offline core, an
+    // ineligible thread) takes the queued path.
+    const CoreState &cs = cores_[core_id];
+    return stopped_groups_ == 0 && !cs.running && cs.ready.empty() &&
+           mach_.core(core_id).enabled() &&
+           (policy_->eligible(thread, now) || thread.client()->urgent());
 }
 
 void

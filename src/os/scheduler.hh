@@ -308,6 +308,10 @@ class Scheduler
     void maybeDispatch(machine::CoreId core_id);
     void dispatch(machine::CoreId core_id, OsThread *thread, bool stolen);
     void sliceEnd(machine::CoreId core_id);
+    /** True when @p thread, just Ready after its burst on @p core_id,
+     *  would be dispatched straight back onto it by maybeDispatch. */
+    bool keepsCore(machine::CoreId core_id, const OsThread &thread,
+                   Ticks now) const;
     OsThread *pickFromQueue(machine::CoreId core_id, Ticks now);
     OsThread *stealFor(machine::CoreId thief, Ticks now);
     void enqueueReady(OsThread *thread, machine::CoreId core_id);

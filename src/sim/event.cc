@@ -21,6 +21,8 @@ constexpr std::size_t kMaxLanes = 1 << 16;
 constexpr std::size_t kCollapseStreak = 256;
 /** Soonest events sampled to estimate the head's inter-event spacing. */
 constexpr std::size_t kHeadSample = 64;
+/** Consumed spill entries a lane may hold before it drops them. */
+constexpr std::uint32_t kReclaimPrefix = 64;
 
 } // namespace
 
@@ -172,8 +174,8 @@ void
 EventQueue::resetLane(std::size_t i)
 {
     // Collapse the (drained) bulk range and recycle the spill storage;
-    // its capacity is retained so steady-state scheduling allocates
-    // nothing once warm.
+    // its capacity is retained, so a lane that drains reuses its
+    // buffer instead of reallocating it for the next day.
     lane_head_[i] = lane_begin_[i + 1];
     if (spill_count_[i] != 0) {
         spill_[i].clear();
@@ -251,12 +253,14 @@ EventQueue::rebucket()
         nl <<= 1;
     while (nl > kMinLanes && nl >= out * 4)
         nl >>= 1;
-    // Lane width from the event spacing near the *head* of the backlog
-    // (Brown's calendar-queue sizing), not the global span: one
-    // far-future straggler would otherwise stretch every lane until the
-    // whole near-term backlog shared the current lane and inserts
-    // degenerated into linear memmoves. Anything beyond the window just
-    // waits in the overflow until the cursor gets there.
+    // Lane width from the spacing of the kHeadSample soonest events
+    // (Brown's calendar-queue sizing): in a deep backlog one far-future
+    // straggler does not stretch every lane. With kHeadSample or fewer
+    // pending events the sample is the whole backlog, so a straggler
+    // does set the width and the near-term events share the current
+    // lane; consumeHead() keeps that lane's memory bounded. Anything
+    // beyond the window waits in the overflow until the cursor gets
+    // there.
     Ticks head_gap;
     if (out <= kHeadSample) {
         head_gap = (max_when - min_when) / static_cast<Ticks>(out) + 1;
@@ -366,14 +370,31 @@ EventQueue::consumeHead(std::size_t i)
     if (lane_state_[i] == LaneState::Bulk) {
         ++lane_head_[i];
     } else {
-        ++spill_head_[i];
+        const std::uint32_t head = ++spill_head_[i];
         --spill_used_;
+        // A lane that never drains (every pending event inside one
+        // lane width, refilled as fast as it is consumed) would
+        // otherwise keep its whole consumed history. Dropping the
+        // prefix once it is at least half the vector costs amortised
+        // O(1) per pop and bounds the lane at about twice its
+        // unconsumed entries.
+        if (head >= kReclaimPrefix && 2 * head >= spill_count_[i])
+            dropConsumedSpill(i);
     }
     --in_lanes_;
     // Eagerly recycle a drained lane: the cursor may be repositioned by
     // a later schedule() without revisiting it.
     if (laneDrained(i))
         resetLane(i);
+}
+
+void
+EventQueue::dropConsumedSpill(std::size_t i)
+{
+    std::vector<Entry> &spill = spill_[i];
+    spill.erase(spill.begin(), spill.begin() + spill_head_[i]);
+    spill_count_[i] -= spill_head_[i];
+    spill_head_[i] = 0;
 }
 
 EventQueue::Entry *
@@ -426,6 +447,15 @@ EventQueue::front()
                       "live events missing from the calendar");
         rebucket();
     }
+}
+
+std::size_t
+EventQueue::retainedEntries() const
+{
+    std::size_t n = 0;
+    for (const std::vector<Entry> &s : spill_)
+        n += s.size();
+    return n;
 }
 
 Ticks

@@ -181,6 +181,11 @@ class EventQueue
     Ticks bucketWidth() const { return width_; }
     /** Times the window was re-tuned (lane count / width resized). */
     std::uint64_t rebucketCount() const { return rebuckets_; }
+    /**
+     * Entries held in the lanes' spill vectors, consumed prefixes
+     * included: the memory a long-lived lane retains (O(lanes)).
+     */
+    std::size_t retainedEntries() const;
     /** @} */
 
   private:
@@ -237,6 +242,9 @@ class EventQueue
 
     /** Step past the consumed head entry of the current (settled) lane. */
     void consumeHead(std::size_t i);
+
+    /** Erase lane @p i's consumed spill prefix (entries stay in order). */
+    void dropConsumedSpill(std::size_t i);
 
     /**
      * True when lane @p i holds no unconsumed entries. Reads only the

@@ -1,13 +1,16 @@
 /**
  * @file
  * Tests for the OS scheduler: the burst protocol, preemption and
- * truncation, accounting, stop-the-world, stealing and policies, and a
- * seeded randomized walk pinning the run-queue occupancy index and
- * the idle-steal early return to a brute-force recount.
+ * truncation, accounting, stop-the-world, stealing and policies, the
+ * keep-running slice end and each case that must take the run queue
+ * instead, and a seeded randomized walk pinning the run-queue
+ * occupancy index and the idle-steal early return to a brute-force
+ * recount.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -395,6 +398,253 @@ TEST(Scheduler, HelpersUnaffectedByBias)
     b.sched.start(t);
     b.sim.run(5 * units::MS);
     EXPECT_TRUE(helper.finished());
+}
+
+/**
+ * Client with fixed-length bursts that ends every burst Ready (the last
+ * one Finished) and runs a hook inside one finishBurst: the reentrancy
+ * window in which sliceEnd has released the core but not yet decided
+ * where the thread goes next.
+ */
+class HookClient : public os::SchedClient
+{
+  public:
+    HookClient(std::string name, Ticks burst, int bursts)
+        : name_(std::move(name)), burst_(burst), bursts_(bursts)
+    {}
+
+    Ticks
+    planBurst(Ticks, Ticks limit) override
+    {
+        return std::min(burst_, limit);
+    }
+
+    BurstOutcome
+    finishBurst(Ticks, Ticks) override
+    {
+        ++done_;
+        if (hook_ && done_ == hook_at_) {
+            hook_();
+            hooked_ = true;
+        }
+        return done_ >= bursts_ ? BurstOutcome::Finished
+                                : BurstOutcome::Ready;
+    }
+
+    std::string clientName() const override { return name_; }
+
+    /** Run @p hook inside the @p at-th finishBurst (1-based). */
+    void
+    hookAt(int at, std::function<void()> hook)
+    {
+        hook_at_ = at;
+        hook_ = std::move(hook);
+    }
+
+    bool hooked() const { return hooked_; }
+
+  private:
+    std::string name_;
+    Ticks burst_;
+    int bursts_;
+    int done_ = 0;
+    int hook_at_ = 0;
+    std::function<void()> hook_;
+    bool hooked_ = false;
+};
+
+/** Records dispatches and state changes as readable lines. */
+class SchedRecorder : public os::SchedulerListener
+{
+  public:
+    void
+    onDispatch(const OsThread &t, machine::CoreId core, Ticks overhead,
+               bool stolen, Ticks) override
+    {
+        log.push_back("dispatch " + t.name() + " core " +
+                      std::to_string(core) + " overhead " +
+                      std::to_string(overhead) +
+                      (stolen ? " stolen" : ""));
+    }
+
+    void
+    onBurstEnd(const OsThread &t, machine::CoreId core, Ticks, bool,
+               Ticks) override
+    {
+        log.push_back("end " + t.name() + " core " +
+                      std::to_string(core));
+    }
+
+    void
+    onThreadState(const OsThread &t, ThreadState prev, Ticks) override
+    {
+        log.push_back(t.name() + " " + os::threadStateName(prev) + "->" +
+                      os::threadStateName(t.state()));
+    }
+
+    std::vector<std::string> log;
+};
+
+/** Step @p b until @p c's hook has fired: the slice end that ran it has
+ *  then completed, so the core's next occupant is decided. */
+void
+runUntilHooked(Bundle &b, const HookClient &c)
+{
+    while (!c.hooked() && b.sim.step()) {
+    }
+    ASSERT_TRUE(c.hooked());
+}
+
+TEST(Scheduler, KeepRunningPathKeepsListenerSequence)
+{
+    // A lone thread whose burst ends Ready keeps its core. Observers
+    // must still see it pass through Ready and be dispatched again,
+    // with no context switch (same last thread) and no steal.
+    Bundle b(1);
+    SchedRecorder rec;
+    b.sched.listeners().add(&rec);
+    HookClient c("t0", 1000, 3);
+    OsThread *t = b.sched.registerThread(&c, ThreadKind::Mutator);
+    b.sched.start(t);
+    b.sim.run();
+    const std::string ovh =
+        std::to_string(b.mach.config().context_switch_cost);
+    const std::string name = t->name();
+    EXPECT_EQ(rec.log, (std::vector<std::string>{
+                           name + " new->ready",
+                           name + " ready->running",
+                           "dispatch " + name + " core 0 overhead " + ovh,
+                           "end " + name + " core 0",
+                           name + " running->ready",
+                           name + " ready->running",
+                           "dispatch " + name + " core 0 overhead 0",
+                           "end " + name + " core 0",
+                           name + " running->ready",
+                           name + " ready->running",
+                           "dispatch " + name + " core 0 overhead 0",
+                           "end " + name + " core 0",
+                           name + " running->finished",
+                       }));
+    EXPECT_EQ(b.sched.schedStats().dispatches, 3u);
+    EXPECT_EQ(b.sched.schedStats().context_switches, 1u);
+    EXPECT_EQ(b.sched.readyQueueDepth(0), 0u);
+    EXPECT_EQ(t->cpuTime(), 3000u);
+    b.sched.listeners().remove(&rec);
+}
+
+TEST(Scheduler, PeerKickedOntoCoreDuringFinishBurstQueuesThread)
+{
+    // t0's finishBurst wakes t1, whose wake kick dispatches it onto the
+    // core t0 just released. t0 must then queue behind t1 rather than
+    // be dispatched onto an occupied core.
+    Bundle b(1);
+    ScriptClient c1("t1", {{1000, BurstOutcome::Blocked},
+                           {1000, BurstOutcome::Finished}});
+    HookClient c0("t0", 1000, 3);
+    OsThread *t1 = b.sched.registerThread(&c1, ThreadKind::Mutator);
+    OsThread *t0 = b.sched.registerThread(&c0, ThreadKind::Mutator);
+    c0.hookAt(1, [&] { b.sched.wake(t1); });
+    b.sched.start(t1);
+    b.sched.start(t0);
+    runUntilHooked(b, c0);
+    EXPECT_EQ(t1->state(), ThreadState::Running);
+    EXPECT_EQ(t0->state(), ThreadState::Ready);
+    EXPECT_EQ(b.sched.readyQueueDepth(0), 1u);
+    b.sim.run();
+    EXPECT_TRUE(c1.finished());
+    EXPECT_EQ(t0->state(), ThreadState::Finished);
+}
+
+TEST(Scheduler, StopTheWorldDuringFinishBurstQueuesThread)
+{
+    Bundle b(1);
+    HookClient c("t0", 1000, 3);
+    OsThread *t = b.sched.registerThread(&c, ThreadKind::Mutator);
+    bool parked = false;
+    c.hookAt(1, [&] { b.sched.stopTheWorld([&] { parked = true; }); });
+    b.sched.start(t);
+    runUntilHooked(b, c);
+    EXPECT_EQ(t->state(), ThreadState::Ready);
+    EXPECT_EQ(b.sched.readyQueueDepth(0), 1u);
+    EXPECT_EQ(b.sched.runningCount(), 0u);
+    const auto dispatches = b.sched.schedStats().dispatches;
+    b.sim.run();
+    EXPECT_TRUE(parked);
+    EXPECT_EQ(b.sched.schedStats().dispatches, dispatches);
+    b.sched.resumeWorld();
+    b.sim.run();
+    EXPECT_EQ(t->state(), ThreadState::Finished);
+}
+
+TEST(Scheduler, QueuedPeerTakesTheCoreAtSliceEnd)
+{
+    // Two CPU-bound threads on one core alternate: a non-empty run
+    // queue sends the thread to its tail instead of keeping the core.
+    Bundle b(1);
+    SchedRecorder rec;
+    HookClient c0("t0", 1000, 3);
+    HookClient c1("t1", 1000, 3);
+    OsThread *t0 = b.sched.registerThread(&c0, ThreadKind::Mutator);
+    OsThread *t1 = b.sched.registerThread(&c1, ThreadKind::Mutator);
+    b.sched.start(t0);
+    b.sched.start(t1);
+    b.sched.listeners().add(&rec);
+    b.sim.run();
+    std::vector<std::string> dispatched;
+    for (const std::string &line : rec.log) {
+        if (line.rfind("dispatch ", 0) == 0)
+            dispatched.push_back(line.substr(9, line.find(' ', 9) - 9));
+    }
+    const std::string n0 = t0->name();
+    const std::string n1 = t1->name();
+    EXPECT_EQ(dispatched,
+              (std::vector<std::string>{n1, n0, n1, n0, n1}));
+    EXPECT_EQ(b.sched.schedStats().context_switches, 6u);
+    b.sched.listeners().remove(&rec);
+}
+
+TEST(Scheduler, CoreTakenOfflineDuringFinishBurstMovesThread)
+{
+    // t0's core goes offline inside its finishBurst: the thread is
+    // redirected to the online core's queue and runs there next.
+    Bundle b(2);
+    HookClient c0("t0", 1000, 3);
+    HookClient c1("t1", 5000, 2);
+    OsThread *t0 = b.sched.registerThread(&c0, ThreadKind::Mutator, 0);
+    OsThread *t1 = b.sched.registerThread(&c1, ThreadKind::Mutator, 1);
+    c0.hookAt(1, [&] { EXPECT_TRUE(b.sched.setCoreOnline(0, false)); });
+    b.sched.start(t0);
+    b.sched.start(t1);
+    runUntilHooked(b, c0);
+    EXPECT_EQ(t0->state(), ThreadState::Ready);
+    EXPECT_EQ(b.sched.readyQueueDepth(0), 0u);
+    EXPECT_EQ(b.sched.readyQueueDepth(1), 1u);
+    EXPECT_EQ(b.sched.runningCount(), 1u);
+    b.sim.run();
+    EXPECT_EQ(t0->state(), ThreadState::Finished);
+    EXPECT_EQ(t0->lastCore(), 1u);
+}
+
+TEST(Scheduler, IneligibleThreadIsQueuedAtSliceEnd)
+{
+    // t0 (bias group 0) ends a burst after the phase rotated to group
+    // 1: it may not keep the core and waits queued for its phase.
+    Bundle b(1);
+    const Ticks phase = 10 * units::US;
+    b.sched.setPolicy(std::make_unique<os::BiasedPolicy>(2, phase));
+    HookClient c("t0", 6 * units::US, 3);
+    OsThread *t = b.sched.registerThread(&c, ThreadKind::Mutator);
+    c.hookAt(2, [] {});
+    b.sched.start(t);
+    runUntilHooked(b, c);
+    ASSERT_GE(b.sim.now(), phase);
+    ASSERT_LT(b.sim.now(), 2 * phase);
+    EXPECT_EQ(t->state(), ThreadState::Ready);
+    EXPECT_EQ(b.sched.readyQueueDepth(0), 1u);
+    EXPECT_EQ(b.sched.runningCount(), 0u);
+    b.sim.scheduleAt(2 * phase, [&] { b.sched.kickAll(); }, "kick");
+    b.sim.run();
+    EXPECT_EQ(t->state(), ThreadState::Finished);
 }
 
 /** Client whose bursts and outcomes come from a shared seeded stream. */

@@ -1,12 +1,14 @@
 /**
  * @file
  * Tests for the discrete-event kernel: ordering guarantees, tie
- * breaking, cancellation, rescheduling and the simulation loop.
+ * breaking, cancellation, rescheduling, the simulation loop and the
+ * calendar's bounded memory.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "base/random.hh"
@@ -507,6 +509,52 @@ TEST(EventQueue, ScheduleBehindCursorStillDispatchesFirst)
     EXPECT_EQ(q.nextTime(), 10u);
     EXPECT_EQ(q.pop(), &past);
     EXPECT_EQ(q.pop(), &a);
+    EXPECT_EQ(q.pop(), nullptr);
+}
+
+TEST(EventQueue, LaneThatNeverDrainsStaysBounded)
+{
+    // A shallow queue with one far-future straggler: the re-tune sizes
+    // the lane width from the whole pending span, so every short event
+    // keeps landing in the current lane and the lane never drains. Its
+    // consumed prefix must be reclaimed as the run goes on, not
+    // retained until the lane drains.
+    EventQueue q;
+    std::vector<std::unique_ptr<sim::RecurringEvent>> events;
+    for (Ticks i = 0; i < 48; ++i) {
+        events.push_back(std::make_unique<sim::RecurringEvent>(
+            q, 40 + i % 17, [] {}));
+        events.back()->start(1 + i);
+    }
+    std::vector<int> log;
+    LogEvent straggler(log, 1);
+    q.schedule(&straggler, Ticks{1} << 40);
+
+    std::size_t max_retained = 0;
+    std::size_t max_live = 0;
+    Ticks last = 0;
+    bool ordered = true;
+    constexpr int kCycles = 1 << 20;
+    for (int n = 0; n < kCycles; ++n) {
+        Event *ev = q.pop();
+        ASSERT_NE(ev, nullptr);
+        ASSERT_NE(ev, &straggler);
+        ordered = ordered && ev->when() >= last;
+        last = ev->when();
+        ev->process();
+        max_retained = std::max(max_retained, q.retainedEntries());
+        max_live = std::max(max_live, q.size());
+    }
+    EXPECT_TRUE(ordered);
+    EXPECT_EQ(max_live, 49u);
+    EXPECT_LE(max_retained, 2 * max_live + 64);
+    // The pathology needs one lane wide enough to hold every short
+    // event for the whole run.
+    EXPECT_GT(q.bucketWidth(), last);
+
+    for (auto &ev : events)
+        ev->stop();
+    EXPECT_EQ(q.pop(), &straggler);
     EXPECT_EQ(q.pop(), nullptr);
 }
 
