@@ -9,13 +9,18 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <ostream>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "profile/profiler.hh"
 #include "telemetry/json.hh"
+#include "telemetry/profile_tracks.hh"
 #include "telemetry/recorder.hh"
 #include "telemetry/sampler.hh"
 #include "telemetry/timeline.hh"
@@ -90,6 +95,122 @@ TEST(Timeline, FinishIsIdempotentAndTerminatesDocument)
     tl.finish();
     tl.finish();
     EXPECT_TRUE(telemetry::validateJson(os.str()));
+}
+
+TEST(Timeline, ExactBytesForEdgeCases)
+{
+    constexpr std::uint64_t kMax64 = std::numeric_limits<std::uint64_t>::max();
+    constexpr std::uint32_t kMax32 = std::numeric_limits<std::uint32_t>::max();
+    constexpr std::int64_t kMin64 = std::numeric_limits<std::int64_t>::min();
+    // '"', '\', newline, tab and a raw 0x1f control in one string.
+    const std::string nasty = std::string("q\"b\\s\nt\tc") + '\x1f';
+    std::ostringstream os;
+    {
+        telemetry::Timeline tl(os);
+        tl.processName(1, "cores");
+        tl.threadName(kMax32, kMax32, nasty);
+        tl.span(2, 7, "n" + nasty, "burst", 5, 50,
+                {telemetry::targ("k" + nasty, "v" + nasty),
+                 telemetry::targ("thread", std::uint64_t{7}),
+                 telemetry::targ("delta", std::int64_t{-3}),
+                 telemetry::targ("min", kMin64)});
+        tl.span(2, 7, "idle", "", 999, 1000);
+        tl.instant(1, 3, "preempt", "sched", 1000,
+                   {telemetry::targ("stolen", "true")});
+        tl.instant(1, 0, "tick", "", 50);
+        tl.counter(3, "heap", kMax64,
+                   {telemetry::targ("eden", kMax64),
+                    telemetry::targ("old", kMax32)});
+        tl.span(1, 0, "long", "gc", 0, kMax64);
+        EXPECT_EQ(tl.events(), 8u);
+    }
+    const std::string esc = R"(q\"b\\s\nt\tc\u001f)";
+    const std::string expected =
+        R"({"displayTimeUnit":"ms","traceEvents":[)"
+        "\n"
+        R"({"name":"process_name","ph":"M","pid":1,"tid":0,"ts":0.000,)"
+        R"("args":{"name":"cores"}},)"
+        "\n"
+        R"({"name":"thread_name","ph":"M","pid":4294967295,)"
+        R"("tid":4294967295,"ts":0.000,"args":{"name":")" +
+        esc + R"("}},)"
+        "\n"
+        R"({"name":"n)" + esc +
+        R"(","cat":"burst","ph":"X","pid":2,"tid":7,"ts":0.005,)"
+        R"("dur":0.045,"args":{"k)" + esc + R"(":"v)" + esc +
+        R"(","thread":7,"delta":-3,"min":-9223372036854775808}},)"
+        "\n"
+        R"({"name":"idle","ph":"X","pid":2,"tid":7,"ts":0.999,)"
+        R"("dur":0.001},)"
+        "\n"
+        R"({"name":"preempt","cat":"sched","ph":"i","pid":1,"tid":3,)"
+        R"("ts":1.000,"s":"t","args":{"stolen":"true"}},)"
+        "\n"
+        R"({"name":"tick","ph":"i","pid":1,"tid":0,"ts":0.050,"s":"t"},)"
+        "\n"
+        R"({"name":"heap","cat":"metrics","ph":"C","pid":3,"tid":0,)"
+        R"("ts":18446744073709551.615,)"
+        R"("args":{"eden":18446744073709551615,"old":4294967295}},)"
+        "\n"
+        R"({"name":"long","cat":"gc","ph":"X","pid":1,"tid":0,"ts":0.000,)"
+        R"("dur":18446744073709551.615})"
+        "\n]}\n";
+    EXPECT_EQ(os.str(), expected);
+    std::string err;
+    EXPECT_TRUE(telemetry::validateJson(os.str(), &err)) << err;
+}
+
+/** A streambuf that accepts @p limit bytes, then fails every write. */
+class FailingBuf : public std::streambuf
+{
+  public:
+    explicit FailingBuf(std::size_t limit) : limit_(limit) {}
+
+  protected:
+    int_type
+    overflow(int_type ch) override
+    {
+        if (traits_type::eq_int_type(ch, traits_type::eof()))
+            return traits_type::not_eof(ch);
+        if (written_ >= limit_)
+            return traits_type::eof();
+        ++written_;
+        return ch;
+    }
+
+    std::streamsize
+    xsputn(const char *, std::streamsize n) override
+    {
+        const auto room = static_cast<std::streamsize>(limit_ - written_);
+        const std::streamsize took = std::min(n, room);
+        written_ += static_cast<std::size_t>(took);
+        return took;
+    }
+
+  private:
+    std::size_t limit_;
+    std::size_t written_ = 0;
+};
+
+TEST(Timeline, WriteErrorSurvivesFinish)
+{
+    // A failure in the final drain (10 bytes) and one mid-stream, well
+    // past any write-behind block (100 KB of a ~400 KB document).
+    for (const std::size_t limit : {std::size_t{10}, std::size_t{100000}}) {
+        FailingBuf buf(limit);
+        std::ostream os(&buf);
+        {
+            telemetry::Timeline tl(os);
+            for (std::uint32_t i = 0; i < 4000; ++i) {
+                tl.span(1, i % 48, "burst-span", "burst", i * 1000ull,
+                        i * 1000ull + 777,
+                        {telemetry::targ("thread", std::uint64_t{i})});
+            }
+            tl.finish();
+            EXPECT_TRUE(os.fail()) << "limit " << limit;
+        }
+        EXPECT_TRUE(os.fail()) << "limit " << limit;
+    }
 }
 
 /** Parse the "<us>.<3-digit-ns>" field @p key of one event line to ns. */
@@ -301,6 +422,59 @@ TEST(Recorder, IdenticalRunsProduceIdenticalTimelines)
     recordedRun(a);
     recordedRun(b);
     EXPECT_EQ(a, b);
+}
+
+/** 64-bit FNV-1a over @p bytes. */
+std::uint64_t
+fnv1a64(const std::string &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const char c : bytes) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+TEST(Recorder, TimelineBytesArePinned)
+{
+    // Every producer at once — recorder, sampler mirror (fixed tracks
+    // plus a registered gauge) and profile tracks — in the order the
+    // experiment runner closes them. The length and digest were
+    // recorded from the original ostream-based writer; any change to
+    // the timeline bytes must be deliberate.
+    VmHarness h(4, smallHeapConfig());
+    std::ostringstream os;
+    telemetry::Timeline tl(os);
+    telemetry::TelemetryRecorder rec(tl);
+    rec.attach(h.vm);
+    profile::TaskProfiler profiler;
+    profiler.attach(h.vm);
+    telemetry::MetricSampler sampler(h.sim, h.vm, 250 * units::US);
+    sampler.attachTimeline(&tl);
+    sampler.addGauge("depth", [&h]() {
+        return static_cast<std::uint64_t>(h.sim.now() % 97);
+    });
+    sampler.start();
+    TinyApp app(busyParams());
+    h.vm.run(app, 4);
+    profiler.finishRun(h.sim.now());
+    sampler.finish(h.sim.now());
+    rec.finish(h.sim.now());
+    rec.detach();
+    telemetry::emitProfileTracks(tl, profiler.summary(), h.sim.now());
+    tl.finish();
+
+    const std::string text = os.str();
+    std::string err;
+    ASSERT_TRUE(telemetry::validateJson(text, &err)) << err;
+    for (const char *producer :
+         {"\"cat\":\"burst\"", "\"cat\":\"state\"", "\"name\":\"heap\"",
+          "\"name\":\"gauges\"", "\"name\":\"blame\"",
+          "\"cat\":\"slow-task\""})
+        EXPECT_NE(text.find(producer), std::string::npos) << producer;
+    EXPECT_EQ(text.size(), std::size_t{1591896});
+    EXPECT_EQ(fnv1a64(text), std::uint64_t{0xbfa80d79c17c0c86});
 }
 
 TEST(Sampler, RowCountMatchesRunTimeOverInterval)
