@@ -3,8 +3,9 @@
  * E12 — simulator micro-benchmarks (google-benchmark): throughput of
  * the event queue (deep, churning and shallow with a straggler), the
  * allocation/death path, the monitor fast path, the OS scheduler's
- * wake/steal/slice-end paths at 48 cores and a full simulated
- * application run. These bound the cost of every
+ * wake/steal/slice-end paths at 48 cores, the timeline writer and
+ * recorder per event, and a full simulated application run. These
+ * bound the cost of every
  * experiment above and guard against performance regressions in the
  * simulation kernel itself.
  */
@@ -13,6 +14,9 @@
 
 #include <algorithm>
 #include <memory>
+#include <ostream>
+#include <streambuf>
+#include <string>
 #include <vector>
 
 #include "base/random.hh"
@@ -24,6 +28,8 @@
 #include "sim/event.hh"
 #include "sim/simulation.hh"
 #include "stats/stats.hh"
+#include "telemetry/recorder.hh"
+#include "telemetry/timeline.hh"
 #include "traffic/arrival.hh"
 
 namespace {
@@ -592,6 +598,73 @@ BM_SchedulerSliceEndKeepRunning(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SchedulerSliceEndKeepRunning);
+
+/** A streambuf that accepts and drops every byte. */
+class DiscardBuf : public std::streambuf
+{
+  protected:
+    int_type
+    overflow(int_type ch) override
+    {
+        return traits_type::not_eof(ch);
+    }
+
+    std::streamsize
+    xsputn(const char *, std::streamsize n) override
+    {
+        return n;
+    }
+};
+
+void
+BM_TimelineSpan(benchmark::State &state)
+{
+    // One core-track burst span with its two numeric args, the shape of
+    // most of a timeline's bytes; the stream discards what it is given.
+    DiscardBuf buf;
+    std::ostream os(&buf);
+    telemetry::Timeline tl(os);
+    const std::string name = "mutator-" + std::to_string(state.range(0));
+    const telemetry::TraceArgs args = {
+        telemetry::targ("thread", static_cast<std::uint64_t>(17)),
+        telemetry::targ("overhead_ns", static_cast<std::uint64_t>(2500)),
+    };
+    Ticks now = 0;
+    for (auto _ : state) {
+        tl.span(telemetry::kCoresPid, 5, name, "burst", now, now + 123456,
+                args);
+        now += 200000;
+        benchmark::ClobberMemory();
+    }
+    benchmark::DoNotOptimize(tl.events());
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TimelineSpan)->Arg(12);
+
+void
+BM_RecorderBurstCycle(benchmark::State &state)
+{
+    // One dispatch -> burst end -> state change cycle on a core track:
+    // an idle span, a burst span and a thread-state span per iteration.
+    SchedBench b;
+    os::OsThread *t = b.spawn(0, kBusyBurst, os::BurstOutcome::Ready);
+    DiscardBuf buf;
+    std::ostream os(&buf);
+    telemetry::Timeline tl(os);
+    telemetry::TelemetryRecorder rec(tl);
+    const auto core = static_cast<machine::CoreId>(state.range(0));
+    Ticks now = 0;
+    for (auto _ : state) {
+        rec.onDispatch(*t, core, 2500, false, now + 100);
+        rec.onBurstEnd(*t, core, now + 100, false, now + 900);
+        rec.onThreadState(*t, os::ThreadState::Running, now + 900);
+        now += 1000;
+        benchmark::ClobberMemory();
+    }
+    benchmark::DoNotOptimize(tl.events());
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RecorderBurstCycle)->Arg(3);
 
 } // namespace
 

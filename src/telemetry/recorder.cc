@@ -5,6 +5,29 @@
 
 namespace jscale::telemetry {
 
+namespace {
+
+// Thread-state span names. Tracks store these pointers and compare
+// them by identity.
+constexpr const char kRunning[] = "running";
+constexpr const char kReadyWait[] = "ready-wait";
+constexpr const char kAtSafepoint[] = "at-safepoint";
+constexpr const char kBlocked[] = "blocked";
+constexpr const char kLockBlocked[] = "lock-blocked";
+constexpr const char kSleeping[] = "sleeping";
+
+/** Grow @p v so index @p id exists. */
+template <typename T>
+T &
+slot(std::vector<T> &v, std::uint32_t id)
+{
+    if (id >= v.size())
+        v.resize(static_cast<std::size_t>(id) + 1);
+    return v[id];
+}
+
+} // namespace
+
 TelemetryRecorder::TelemetryRecorder(Timeline &timeline)
     : timeline_(timeline)
 {
@@ -43,18 +66,19 @@ TelemetryRecorder::detach()
 TelemetryRecorder::ThreadTrack &
 TelemetryRecorder::threadTrack(const os::OsThread &t)
 {
-    auto [it, inserted] = threads_.try_emplace(t.id());
-    if (inserted) {
-        it->second.tid = t.id();
+    ThreadTrack &tr = slot(threads_, t.id());
+    if (!tr.named) {
+        tr.named = true;
+        tr.tid = t.id();
         timeline_.threadName(kThreadsPid, t.id(), t.name());
     }
-    return it->second;
+    return tr;
 }
 
 TelemetryRecorder::CoreTrack &
 TelemetryRecorder::coreTrack(machine::CoreId core)
 {
-    CoreTrack &ct = cores_[core];
+    CoreTrack &ct = slot(cores_, core);
     if (!ct.named) {
         ct.named = true;
         timeline_.threadName(kCoresPid, core,
@@ -66,18 +90,30 @@ TelemetryRecorder::coreTrack(machine::CoreId core)
 void
 TelemetryRecorder::closeState(ThreadTrack &tr, Ticks now)
 {
-    if (!tr.open) {
+    const char *label = tr.label;
+    if (label == nullptr)
         return;
-    }
-    tr.open = false;
+    tr.label = nullptr;
     if (now == tr.since)
         return; // zero-length state; skip the noise
-    TraceArgs args;
+    timeline_.beginSpan(kThreadsPid, tr.tid, label, "state", tr.since, now);
     if (tr.monitor != kNoMonitor)
-        args.push_back(
-            targ("monitor", static_cast<std::uint64_t>(tr.monitor)));
-    timeline_.span(kThreadsPid, tr.tid, tr.label, "state", tr.since, now,
-                   args);
+        timeline_.arg("monitor", std::uint64_t{tr.monitor});
+    timeline_.endEvent();
+}
+
+void
+TelemetryRecorder::relabelOpen(const char *from, const char *to,
+                               Ticks now)
+{
+    for (ThreadTrack &tr : threads_) {
+        if (tr.label != from)
+            continue;
+        closeState(tr, now);
+        tr.label = to;
+        tr.since = now;
+        tr.monitor = kNoMonitor;
+    }
 }
 
 void
@@ -102,15 +138,14 @@ TelemetryRecorder::onBurstEnd(const os::OsThread &t, machine::CoreId core,
                               Ticks started, bool preempted, Ticks now)
 {
     CoreTrack &ct = coreTrack(core);
-    TraceArgs args = {
-        targ("thread", static_cast<std::uint64_t>(t.id())),
-        targ("overhead_ns", static_cast<std::uint64_t>(ct.overhead)),
-    };
+    timeline_.beginSpan(kCoresPid, core, t.name(), "burst", started, now);
+    timeline_.arg("thread", std::uint64_t{t.id()});
+    timeline_.arg("overhead_ns", std::uint64_t{ct.overhead});
     if (ct.stolen)
-        args.push_back(targ("stolen", "true"));
+        timeline_.arg("stolen", "true");
     if (preempted)
-        args.push_back(targ("preempted", "true"));
-    timeline_.span(kCoresPid, core, t.name(), "burst", started, now, args);
+        timeline_.arg("preempted", "true");
+    timeline_.endEvent();
     if (preempted) {
         timeline_.instant(kCoresPid, core, "preempt", "sched", now,
                           {targ("thread",
@@ -136,23 +171,23 @@ TelemetryRecorder::onThreadState(const os::OsThread &t,
 {
     (void)prev;
     ThreadTrack &tr = threadTrack(t);
-    std::string label;
+    const char *label = nullptr;
     std::uint32_t monitor = kNoMonitor;
     switch (t.state()) {
       case os::ThreadState::Running:
-        label = "running";
+        label = kRunning;
         break;
       case os::ThreadState::Ready:
-        label = in_safepoint_ ? "at-safepoint" : "ready-wait";
+        label = in_safepoint_ ? kAtSafepoint : kReadyWait;
         break;
       case os::ThreadState::Blocked: {
-        label = "blocked";
+        label = kBlocked;
         if (t.kind() == os::ThreadKind::Mutator) {
             // Mutators are registered first, so ThreadId == MutatorIndex.
             const auto it = pending_monitor_.find(
                 static_cast<jvm::MutatorIndex>(t.id()));
             if (it != pending_monitor_.end()) {
-                label = "lock-blocked";
+                label = kLockBlocked;
                 monitor = it->second;
                 pending_monitor_.erase(it);
             }
@@ -160,18 +195,17 @@ TelemetryRecorder::onThreadState(const os::OsThread &t,
         break;
       }
       case os::ThreadState::Sleeping:
-        label = "sleeping";
+        label = kSleeping;
         break;
       case os::ThreadState::New:
       case os::ThreadState::Finished:
         break;
     }
     closeState(tr, now);
-    if (label.empty())
+    if (label == nullptr)
         return;
-    tr.label = std::move(label);
+    tr.label = label;
     tr.since = now;
-    tr.open = true;
     tr.monitor = monitor;
 }
 
@@ -181,32 +215,14 @@ TelemetryRecorder::onWorldStopRequested(Ticks now)
     in_safepoint_ = true;
     // Threads already queued keep waiting through the safepoint; relabel
     // the remainder of their wait so safepoint time is visible per thread.
-    for (auto &[id, tr] : threads_) {
-        (void)id;
-        if (tr.open && tr.label == "ready-wait") {
-            closeState(tr, now);
-            tr.label = "at-safepoint";
-            tr.since = now;
-            tr.open = true;
-            tr.monitor = kNoMonitor;
-        }
-    }
+    relabelOpen(kReadyWait, kAtSafepoint, now);
 }
 
 void
 TelemetryRecorder::onWorldResumed(Ticks now)
 {
     in_safepoint_ = false;
-    for (auto &[id, tr] : threads_) {
-        (void)id;
-        if (tr.open && tr.label == "at-safepoint") {
-            closeState(tr, now);
-            tr.label = "ready-wait";
-            tr.since = now;
-            tr.open = true;
-            tr.monitor = kNoMonitor;
-        }
-    }
+    relabelOpen(kAtSafepoint, kReadyWait, now);
 }
 
 void
@@ -351,11 +367,13 @@ TelemetryRecorder::finish(Ticks end)
     if (finished_)
         return;
     finished_ = true;
-    for (auto &[id, tr] : threads_) {
-        (void)id;
+    for (ThreadTrack &tr : threads_)
         closeState(tr, end);
-    }
-    for (auto &[core, ct] : cores_) {
+    for (std::size_t i = 0; i < cores_.size(); ++i) {
+        const CoreTrack &ct = cores_[i];
+        if (!ct.named)
+            continue;
+        const auto core = static_cast<machine::CoreId>(i);
         if (ct.busy) {
             timeline_.span(kCoresPid, core, ct.runner, "burst",
                            ct.burst_since, end,

@@ -30,6 +30,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "base/units.hh"
 #include "jvm/runtime/listener.hh"
@@ -135,11 +136,12 @@ class TelemetryRecorder : public jvm::RuntimeListener,
     struct ThreadTrack
     {
         os::ThreadId tid = 0;
-        std::string label;
+        /** Static state name; nullptr while no span is open. */
+        const char *label = nullptr;
         Ticks since = 0;
-        bool open = false;
         /** Monitor id attached to the current lock-blocked span. */
         std::uint32_t monitor = kNoMonitor;
+        bool named = false;
     };
 
     /** Core-track bookkeeping: the in-flight burst and the idle gap. */
@@ -157,23 +159,21 @@ class TelemetryRecorder : public jvm::RuntimeListener,
 
     static constexpr std::uint32_t kNoMonitor = ~0u;
 
-    /** Current-state label for @p t given the safepoint flag. */
-    std::string stateLabel(const os::OsThread &t);
-
     /** Ensure the per-thread track exists and is named. */
     ThreadTrack &threadTrack(const os::OsThread &t);
     CoreTrack &coreTrack(machine::CoreId core);
 
-    /** Close the open state span (if any) and start @p label at @p now. */
-    void switchState(const os::OsThread &t, const std::string &label,
-                     Ticks now);
     void closeState(ThreadTrack &tr, Ticks now);
+    /** Close every @p from span at @p now and continue it as @p to. */
+    void relabelOpen(const char *from, const char *to, Ticks now);
 
     Timeline &timeline_;
     jvm::JavaVm *vm_ = nullptr;
 
-    std::map<os::ThreadId, ThreadTrack> threads_;
-    std::map<machine::CoreId, CoreTrack> cores_;
+    /** Dense by id and walked in ascending id (emission order is part
+     *  of the timeline's bytes); slots without a track are skipped. */
+    std::vector<ThreadTrack> threads_;
+    std::vector<CoreTrack> cores_;
     /** Monitor a mutator is about to block on (set by contention probe,
      *  consumed by the matching Blocked transition). */
     std::map<jvm::MutatorIndex, jvm::MonitorId> pending_monitor_;

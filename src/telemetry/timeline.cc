@@ -1,13 +1,31 @@
 #include "telemetry/timeline.hh"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
+#include <cstring>
+#include <memory>
 
 #include "base/logging.hh"
 
 namespace jscale::telemetry {
 
+namespace {
+
+/** Bytes buffered before a block is handed to the stream. */
+constexpr std::size_t kBlockBytes = 64 * 1024;
+
+/** True when @p c must be escaped inside a JSON string literal. */
+bool
+needsEscape(char c)
+{
+    return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+}
+
+} // namespace
+
 std::string
-jsonEscape(const std::string &s)
+jsonEscape(std::string_view s)
 {
     std::string out;
     out.reserve(s.size());
@@ -65,32 +83,10 @@ targ(std::string key, std::uint32_t value)
     return targ(std::move(key), static_cast<std::uint64_t>(value));
 }
 
-TraceArg
-targ(std::string key, double value)
+Timeline::Timeline(std::ostream &os)
+    : os_(os), buf_(std::make_unique<char[]>(kBlockBytes))
 {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.6g", value);
-    return {std::move(key), std::string(buf), /*quoted=*/false};
-}
-
-namespace {
-
-/** Render nanosecond Ticks as exact microseconds ("12.345"). */
-std::string
-microseconds(Ticks ns)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%llu.%03llu",
-                  static_cast<unsigned long long>(ns / 1000),
-                  static_cast<unsigned long long>(ns % 1000));
-    return std::string(buf);
-}
-
-} // namespace
-
-Timeline::Timeline(std::ostream &os) : os_(os)
-{
-    os_ << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+    put("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
 }
 
 Timeline::~Timeline()
@@ -98,90 +94,195 @@ Timeline::~Timeline()
     finish();
 }
 
+char *
+Timeline::room(std::size_t n)
+{
+    if (kBlockBytes - len_ < n)
+        flush();
+    return buf_.get() + len_;
+}
+
 void
-Timeline::beginEvent(const std::string &name, const std::string &cat,
+Timeline::put(std::string_view text)
+{
+    if (text.size() > kBlockBytes) {
+        flush();
+        os_.write(text.data(), static_cast<std::streamsize>(text.size()));
+        return;
+    }
+    std::memcpy(room(text.size()), text.data(), text.size());
+    len_ += text.size();
+}
+
+void
+Timeline::put(char c)
+{
+    *room(1) = c;
+    ++len_;
+}
+
+void
+Timeline::putUnsigned(std::uint64_t v)
+{
+    constexpr std::size_t kDigits = 20; // any uint64
+    char *at = room(kDigits);
+    len_ += static_cast<std::size_t>(
+        std::to_chars(at, at + kDigits, v).ptr - at);
+}
+
+void
+Timeline::putMicros(Ticks ns)
+{
+    // Exact "<us>.<3-digit ns>": no floating point, no rounding.
+    putUnsigned(ns / 1000);
+    const auto frac = static_cast<unsigned>(ns % 1000);
+    char *at = room(4);
+    at[0] = '.';
+    at[1] = static_cast<char>('0' + frac / 100);
+    at[2] = static_cast<char>('0' + frac / 10 % 10);
+    at[3] = static_cast<char>('0' + frac % 10);
+    len_ += 4;
+}
+
+void
+Timeline::putString(std::string_view s)
+{
+    put('"');
+    if (std::none_of(s.begin(), s.end(), needsEscape))
+        put(s);
+    else
+        put(jsonEscape(s));
+    put('"');
+}
+
+void
+Timeline::flush()
+{
+    os_.write(buf_.get(), static_cast<std::streamsize>(len_));
+    len_ = 0;
+}
+
+void
+Timeline::beginEvent(std::string_view name, std::string_view cat,
                      char ph, std::uint32_t pid, std::uint32_t tid,
                      Ticks ts)
 {
     jscale_assert(!finished_, "event recorded after Timeline::finish");
-    if (events_ > 0)
-        os_ << ",";
-    os_ << "\n{\"name\":\"" << jsonEscape(name) << "\"";
-    if (!cat.empty())
-        os_ << ",\"cat\":\"" << jsonEscape(cat) << "\"";
-    os_ << ",\"ph\":\"" << ph << "\",\"pid\":" << pid
-        << ",\"tid\":" << tid << ",\"ts\":" << microseconds(ts);
+    jscale_assert(!in_event_, "Timeline event begun inside another");
+    put(events_ > 0 ? ",\n{\"name\":" : "\n{\"name\":");
+    putString(name);
+    if (!cat.empty()) {
+        put(",\"cat\":");
+        putString(cat);
+    }
+    put(",\"ph\":\"");
+    put(ph);
+    put("\",\"pid\":");
+    putUnsigned(pid);
+    put(",\"tid\":");
+    putUnsigned(tid);
+    put(",\"ts\":");
+    putMicros(ts);
     ++events_;
+    in_event_ = true;
+}
+
+void
+Timeline::beginSpan(std::uint32_t pid, std::uint32_t tid,
+                    std::string_view name, std::string_view cat,
+                    Ticks begin, Ticks end)
+{
+    jscale_assert(end >= begin, "span '", name, "' ends before it begins");
+    beginEvent(name, cat, 'X', pid, tid, begin);
+    put(",\"dur\":");
+    putMicros(end - begin);
+}
+
+void
+Timeline::argKey(std::string_view key)
+{
+    jscale_assert(in_event_, "Timeline arg outside an event");
+    put(in_args_ ? "," : ",\"args\":{");
+    in_args_ = true;
+    putString(key);
+    put(':');
+}
+
+void
+Timeline::arg(std::string_view key, std::uint64_t value)
+{
+    argKey(key);
+    putUnsigned(value);
+}
+
+void
+Timeline::arg(std::string_view key, std::string_view value)
+{
+    argKey(key);
+    putString(value);
 }
 
 void
 Timeline::writeArgs(const TraceArgs &args)
 {
-    if (args.empty())
-        return;
-    os_ << ",\"args\":{";
-    bool first = true;
     for (const TraceArg &a : args) {
-        if (!first)
-            os_ << ",";
-        first = false;
-        os_ << "\"" << jsonEscape(a.key) << "\":";
+        argKey(a.key);
         if (a.quoted)
-            os_ << "\"" << jsonEscape(a.value) << "\"";
+            putString(a.value);
         else
-            os_ << a.value;
+            put(a.value);
     }
-    os_ << "}";
 }
 
 void
 Timeline::endEvent()
 {
-    os_ << "}";
+    jscale_assert(in_event_, "Timeline::endEvent without an open event");
+    put(in_args_ ? "}}" : "}");
+    in_event_ = false;
+    in_args_ = false;
 }
 
 void
-Timeline::processName(std::uint32_t pid, const std::string &name)
+Timeline::processName(std::uint32_t pid, std::string_view name)
 {
     beginEvent("process_name", "", 'M', pid, 0, 0);
-    writeArgs({targ("name", name)});
+    arg("name", name);
     endEvent();
 }
 
 void
 Timeline::threadName(std::uint32_t pid, std::uint32_t tid,
-                     const std::string &name)
+                     std::string_view name)
 {
     beginEvent("thread_name", "", 'M', pid, tid, 0);
-    writeArgs({targ("name", name)});
+    arg("name", name);
     endEvent();
 }
 
 void
-Timeline::span(std::uint32_t pid, std::uint32_t tid,
-               const std::string &name, const std::string &cat,
-               Ticks begin, Ticks end, const TraceArgs &args)
+Timeline::span(std::uint32_t pid, std::uint32_t tid, std::string_view name,
+               std::string_view cat, Ticks begin, Ticks end,
+               const TraceArgs &args)
 {
-    jscale_assert(end >= begin, "span '", name, "' ends before it begins");
-    beginEvent(name, cat, 'X', pid, tid, begin);
-    os_ << ",\"dur\":" << microseconds(end - begin);
+    beginSpan(pid, tid, name, cat, begin, end);
     writeArgs(args);
     endEvent();
 }
 
 void
 Timeline::instant(std::uint32_t pid, std::uint32_t tid,
-                  const std::string &name, const std::string &cat,
-                  Ticks at, const TraceArgs &args)
+                  std::string_view name, std::string_view cat, Ticks at,
+                  const TraceArgs &args)
 {
     beginEvent(name, cat, 'i', pid, tid, at);
-    os_ << ",\"s\":\"t\""; // thread-scoped instant
+    put(",\"s\":\"t\""); // thread-scoped instant
     writeArgs(args);
     endEvent();
 }
 
 void
-Timeline::counter(std::uint32_t pid, const std::string &name, Ticks at,
+Timeline::counter(std::uint32_t pid, std::string_view name, Ticks at,
                   const TraceArgs &args)
 {
     beginEvent(name, "metrics", 'C', pid, 0, at);
@@ -194,8 +295,10 @@ Timeline::finish()
 {
     if (finished_)
         return;
+    jscale_assert(!in_event_, "Timeline::finish inside an open event");
     finished_ = true;
-    os_ << "\n]}\n";
+    put("\n]}\n");
+    flush();
     os_.flush();
 }
 
