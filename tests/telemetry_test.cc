@@ -213,6 +213,23 @@ TEST(Timeline, WriteErrorSurvivesFinish)
     }
 }
 
+TEST(Timeline, StringLongerThanABlockIsWrittenWhole)
+{
+    // A token larger than the write-behind block bypasses it, in order.
+    const std::string name(100000, 'n');
+    std::ostringstream os;
+    {
+        telemetry::Timeline tl(os);
+        tl.instant(1, 0, name, "", 0);
+    }
+    EXPECT_EQ(os.str(), R"({"displayTimeUnit":"ms","traceEvents":[)"
+                        "\n{\"name\":\"" +
+                            name +
+                            R"(","ph":"i","pid":1,"tid":0,"ts":0.000,)"
+                            R"("s":"t"})"
+                            "\n]}\n");
+}
+
 /** Parse the "<us>.<3-digit-ns>" field @p key of one event line to ns. */
 std::uint64_t
 fieldNs(const std::string &line, const std::string &key)
