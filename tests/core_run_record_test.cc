@@ -76,6 +76,36 @@ TEST(RunRecord, RestoredResultRendersIdentically)
     EXPECT_EQ(a.str(), b.str());
 }
 
+/** FNV-1a, 64 bit. */
+std::uint64_t
+fnv1a(const std::string &s)
+{
+    std::uint64_t h = 14695981039346656037ULL;
+    for (const unsigned char c : s) {
+        h ^= c;
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+TEST(RunRecord, RecordBytesArePinned)
+{
+    // Existing --cache-dir records must stay readable, so the bytes of
+    // a record with every section populated (profiled, open loop) are
+    // pinned.
+    core::ExperimentConfig cfg;
+    cfg.workload_scale = 0.05;
+    cfg.seed = 23;
+    cfg.profile = true;
+    cfg.arrivals = "poisson:rate=500:requests=200";
+    core::ExperimentRunner runner(cfg);
+    const std::string bytes = record(runner.runApp("sunflow", 4));
+    ASSERT_NE(bytes.find("\nu profile.enabled 1\n"), std::string::npos);
+    ASSERT_NE(bytes.find("\nu traffic.enabled 1\n"), std::string::npos);
+    EXPECT_EQ(bytes.size(), 7909u);
+    EXPECT_EQ(fnv1a(bytes), 0x06bd0de44a955ccfULL);
+}
+
 TEST(RunRecord, RejectsWrongHeader)
 {
     std::istringstream is("jscale-run v99\nkey k\nend\n");
