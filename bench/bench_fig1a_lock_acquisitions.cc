@@ -40,10 +40,6 @@ main(int argc, char **argv)
     }
 
     const auto sweeps = bench::sweepAllApps(runner);
-    core::printLockAcquisitionTable(std::cout, sweeps);
-    if (opts.csv) {
-        std::cout << "\n";
-        core::writeLockAcquisitionCsv(std::cout, sweeps);
-    }
+    core::lockAcquisitionTable(sweeps).render(std::cout, opts.csv);
     return 0;
 }

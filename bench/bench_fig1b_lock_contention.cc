@@ -20,10 +20,6 @@ main(int argc, char **argv)
               << ")\n";
     const auto sweeps = bench::sweepAllApps(runner);
 
-    core::printLockContentionTable(std::cout, sweeps);
-    if (opts.csv) {
-        std::cout << "\n";
-        core::writeLockContentionCsv(std::cout, sweeps);
-    }
+    core::lockContentionTable(sweeps).render(std::cout, opts.csv);
     return 0;
 }

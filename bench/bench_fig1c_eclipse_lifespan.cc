@@ -38,7 +38,8 @@ main(int argc, char **argv)
         sweep.push_back(std::move(r));
     }
 
-    core::printLifespanCdfTable(std::cout, "eclipse", sweep);
+    const ReportTable table = core::lifespanCdfTable("eclipse", sweep);
+    table.print(std::cout);
     std::cout << "\nmax CDF shift at 1 KiB between settings: "
               << formatPercent(
                      sweep.back().heap.lifespan.fractionBelow(1024) -
@@ -46,7 +47,7 @@ main(int argc, char **argv)
               << " (paper: almost no change)\n";
     if (opts.csv) {
         std::cout << "\n";
-        core::writeLifespanCdfCsv(std::cout, "eclipse", sweep);
+        table.writeCsv(std::cout);
     }
     return 0;
 }

@@ -22,7 +22,8 @@ main(int argc, char **argv)
     for (const std::uint32_t t : {4u, 8u, 16u, 32u, 48u})
         sweep.push_back(runner.runApp("xalan", t));
 
-    core::printLifespanCdfTable(std::cout, "xalan", sweep);
+    const ReportTable table = core::lifespanCdfTable("xalan", sweep);
+    table.print(std::cout);
     std::cout << "\nfraction of objects with lifespan < 1 KiB: "
               << formatPercent(
                      sweep.front().heap.lifespan.fractionBelow(1024))
@@ -32,7 +33,7 @@ main(int argc, char **argv)
               << " @ 48 threads (paper: ~50%)\n";
     if (opts.csv) {
         std::cout << "\n";
-        core::writeLifespanCdfCsv(std::cout, "xalan", sweep);
+        table.writeCsv(std::cout);
     }
     return 0;
 }

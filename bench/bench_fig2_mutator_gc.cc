@@ -25,7 +25,8 @@ main(int argc, char **argv)
         sweeps[app] = runner.sweep(app, threads);
     }
 
-    core::printMutatorGcTable(std::cout, sweeps);
+    const ReportTable table = core::mutatorGcTable(sweeps);
+    table.print(std::cout);
 
     // The paper's two take-aways, checked explicitly.
     for (const auto &[app, sweep] : sweeps) {
@@ -40,7 +41,7 @@ main(int argc, char **argv)
     }
     if (opts.csv) {
         std::cout << "\n";
-        core::writeMutatorGcCsv(std::cout, sweeps);
+        table.writeCsv(std::cout);
     }
     return 0;
 }

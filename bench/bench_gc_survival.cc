@@ -24,7 +24,8 @@ main(int argc, char **argv)
         sweeps[app] = runner.sweep(app, {4, 8, 16, 32, 48});
     }
 
-    core::printGcSurvivalTable(std::cout, sweeps);
+    const ReportTable table = core::gcSurvivalTable(sweeps);
+    table.print(std::cout);
 
     const auto &xalan = sweeps["xalan"];
     std::cout << "\nxalan nursery survival: "
@@ -36,7 +37,7 @@ main(int argc, char **argv)
                  "nursery as threads scale)\n";
     if (opts.csv) {
         std::cout << "\n";
-        core::writeGcSurvivalCsv(std::cout, sweeps);
+        table.writeCsv(std::cout);
     }
     return 0;
 }

@@ -29,7 +29,8 @@ main(int argc, char **argv)
         sweeps[app] = runner.sweep(app, {4, 16, 48});
     }
 
-    core::printSuspendWaitTable(std::cout, sweeps);
+    const ReportTable table = core::suspendWaitTable(sweeps);
+    table.print(std::cout);
 
     const auto &xalan = sweeps["xalan"];
     auto suspend_ratio = [](const jvm::RunResult &r) {
@@ -56,7 +57,7 @@ main(int argc, char **argv)
               << " (the paper's interference mechanism).\n";
     if (opts.csv) {
         std::cout << "\n";
-        core::writeSuspendWaitCsv(std::cout, sweeps);
+        table.writeCsv(std::cout);
     }
     return 0;
 }

@@ -20,10 +20,6 @@ main(int argc, char **argv)
               << ")\n";
     const auto sweeps = bench::sweepAllApps(runner);
 
-    core::printScalabilityTable(std::cout, sweeps);
-    if (opts.csv) {
-        std::cout << "\n";
-        core::writeScalabilityCsv(std::cout, sweeps);
-    }
+    core::scalabilityTable(sweeps).render(std::cout, opts.csv);
     return 0;
 }

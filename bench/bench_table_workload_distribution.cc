@@ -24,10 +24,6 @@ main(int argc, char **argv)
         sweeps[app] = runner.sweep(app, {4, 16, 48});
     }
 
-    core::printWorkloadDistributionTable(std::cout, sweeps);
-    if (opts.csv) {
-        std::cout << "\n";
-        core::writeWorkloadDistributionCsv(std::cout, sweeps);
-    }
+    core::workloadDistributionTable(sweeps).render(std::cout, opts.csv);
     return 0;
 }

@@ -67,10 +67,10 @@ main()
     for (const std::uint32_t t : {1u, 4u, 16u, 48u})
         sweeps["mixer"].push_back(runner.runCustom(factory, "mixer", t));
 
-    core::printScalabilityTable(std::cout, sweeps);
+    core::scalabilityTable(sweeps).print(std::cout);
     std::cout << '\n';
-    core::printLockContentionTable(std::cout, sweeps);
+    core::lockContentionTable(sweeps).print(std::cout);
     std::cout << '\n';
-    core::printLifespanCdfTable(std::cout, "mixer", sweeps["mixer"]);
+    core::lifespanCdfTable("mixer", sweeps["mixer"]).print(std::cout);
     return 0;
 }

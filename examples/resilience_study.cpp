@@ -41,8 +41,6 @@ main(int argc, char **argv)
     cfg.base.watchdog = true;
 
     const auto points = core::runResilienceStudy(cfg);
-    core::printResilienceTable(std::cout, points);
-    std::cout << "\n";
-    core::writeResilienceCsv(std::cout, points);
+    core::resilienceTable(points).render(std::cout, true);
     return 0;
 }

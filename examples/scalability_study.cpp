@@ -32,14 +32,14 @@ main(int argc, char **argv)
         sweeps[app] = runner.sweep(app, threads);
     }
 
-    jscale::core::printScalabilityTable(std::cout, sweeps);
+    jscale::core::scalabilityTable(sweeps).print(std::cout);
     std::cout << '\n';
-    jscale::core::printWorkloadDistributionTable(std::cout, sweeps);
+    jscale::core::workloadDistributionTable(sweeps).print(std::cout);
     std::cout << '\n';
-    jscale::core::printLockAcquisitionTable(std::cout, sweeps);
+    jscale::core::lockAcquisitionTable(sweeps).print(std::cout);
     std::cout << '\n';
-    jscale::core::printLockContentionTable(std::cout, sweeps);
+    jscale::core::lockContentionTable(sweeps).print(std::cout);
     std::cout << '\n';
-    jscale::core::printMutatorGcTable(std::cout, sweeps);
+    jscale::core::mutatorGcTable(sweeps).print(std::cout);
     return 0;
 }

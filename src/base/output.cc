@@ -114,4 +114,150 @@ CsvWriter::quote(const std::string &cell)
     return out;
 }
 
+Cell
+Cell::label(std::string s)
+{
+    return {s, s};
+}
+
+Cell
+Cell::count(std::uint64_t v)
+{
+    return label(std::to_string(v));
+}
+
+Cell
+Cell::ticks(Ticks v)
+{
+    return {formatTicks(v), std::to_string(v)};
+}
+
+Cell
+Cell::meanTicks(double v)
+{
+    return {formatTicks(static_cast<Ticks>(v)), formatFixed(v, 0)};
+}
+
+Cell
+Cell::bytes(Bytes v)
+{
+    return {formatBytes(v), std::to_string(v)};
+}
+
+Cell
+Cell::share(double v, int csv_digits)
+{
+    return {formatPercent(v), formatFixed(v, csv_digits)};
+}
+
+Cell
+Cell::fixed(double v, int text_digits, int csv_digits)
+{
+    return {formatFixed(v, text_digits), formatFixed(v, csv_digits)};
+}
+
+Cell
+Cell::missing()
+{
+    return {"-", ""};
+}
+
+ReportTable::ReportTable(std::string title, std::vector<Column> columns)
+    : title_(std::move(title)), columns_(std::move(columns))
+{
+}
+
+std::size_t
+ReportTable::width(Form form) const
+{
+    std::size_t n = 0;
+    for (const Column &c : columns_)
+        n += form == Form::Both || c.form == Form::Both || c.form == form;
+    return n;
+}
+
+void
+ReportTable::row(std::vector<Cell> cells, Form form)
+{
+    jscale_assert(cells.size() == columns_.size() ||
+                      cells.size() == width(form),
+                  "row of ", cells.size(), " cells in a table of ",
+                  columns_.size(), " columns");
+    rows_.push_back({std::move(cells), form});
+}
+
+void
+ReportTable::missingRow(std::vector<Cell> lead, Cell last)
+{
+    const std::size_t n = width(Form::Text);
+    jscale_assert(lead.size() < n, "missing row wider than the table");
+    lead.resize(n, Cell::missing());
+    lead.back() = std::move(last);
+    row(std::move(lead), Form::Text);
+}
+
+std::vector<std::string>
+ReportTable::header(Form form) const
+{
+    std::vector<std::string> out;
+    for (const Column &c : columns_) {
+        if (c.form == Form::Both || c.form == form)
+            out.push_back(form == Form::Text ? c.text : c.csv);
+    }
+    return out;
+}
+
+std::vector<std::string>
+ReportTable::cells(const Row &r, Form form) const
+{
+    // A full-width row keeps the cells of this form's columns; a
+    // one-form row already holds exactly those.
+    const bool full = r.cells.size() == columns_.size();
+    std::vector<std::string> out;
+    for (std::size_t i = 0; i < r.cells.size(); ++i) {
+        if (full && columns_[i].form != Form::Both &&
+            columns_[i].form != form)
+            continue;
+        out.push_back(form == Form::Text ? r.cells[i].text
+                                         : r.cells[i].csv);
+    }
+    return out;
+}
+
+void
+ReportTable::print(std::ostream &os) const
+{
+    os << title_;
+    TextTable t;
+    t.header(header(Form::Text));
+    for (const Row &r : rows_) {
+        if (r.form != Form::Csv)
+            t.row(cells(r, Form::Text));
+    }
+    if (t.rows() > 0)
+        t.print(os);
+    os << footer_;
+}
+
+void
+ReportTable::writeCsv(std::ostream &os) const
+{
+    CsvWriter csv(os);
+    csv.row(header(Form::Csv));
+    for (const Row &r : rows_) {
+        if (r.form != Form::Text)
+            csv.row(cells(r, Form::Csv));
+    }
+}
+
+void
+ReportTable::render(std::ostream &os, bool csv) const
+{
+    print(os);
+    if (csv) {
+        os << '\n';
+        writeCsv(os);
+    }
+}
+
 } // namespace jscale

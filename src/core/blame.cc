@@ -1,6 +1,7 @@
 #include "core/blame.hh"
 
 #include <algorithm>
+#include <sstream>
 #include <utility>
 
 #include "base/logging.hh"
@@ -21,16 +22,6 @@ bucketShare(const jvm::ProfileSummary &p, jvm::WaitBucket b)
     return static_cast<double>(
                p.bucket_total[static_cast<std::size_t>(b)]) /
            static_cast<double>(total);
-}
-
-std::string
-cellStatus(const jvm::RunResult &r)
-{
-    if (r.failed())
-        return "failed";
-    if (r.skipped)
-        return "skipped";
-    return "ok";
 }
 
 } // namespace
@@ -103,49 +94,78 @@ runBlameStudy(const BlameConfig &config)
     return study;
 }
 
-void
-printBlameStudyTable(std::ostream &os, const BlameStudy &study)
+ReportTable
+blameStudyTable(const BlameStudy &study)
 {
-    os << "E20 — blame decomposition vs. threads (shares of aggregate "
-          "task wall time)\n";
-    TextTable t;
-    t.header({"app", "threads", "status", "cpu", "runq", "lock", "gc-stw",
-              "ttsp", "alloc", "gov", "other", "dominant", "p50", "p99"});
+    // The text folds run-queue wait with waitset/channel parks into
+    // "runq" and the residual buckets into "other" to stay readable;
+    // the CSV carries every bucket separately.
+    std::vector<Column> columns = {{"app", "app"},
+                                   {"threads", "threads"},
+                                   {"status", "status"},
+                                   {"", "wall_ticks", Form::Csv},
+                                   {"", "tasks", Form::Csv}};
+    for (const char *name : {"cpu", "runq", "lock", "gc-stw", "ttsp",
+                             "alloc", "gov", "other"})
+        columns.push_back({name, "", Form::Text});
+    for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i) {
+        columns.push_back(
+            {"",
+             std::string("share_") +
+                 jvm::waitBucketName(static_cast<jvm::WaitBucket>(i)),
+             Form::Csv});
+    }
+    columns.insert(columns.end(), {{"dominant", "dominant"},
+                                   {"p50", "p50_ns"},
+                                   {"", "p90_ns", Form::Csv},
+                                   {"p99", "p99_ns"},
+                                   {"", "p999_ns", Form::Csv},
+                                   {"", "max_ns", Form::Csv},
+                                   {"", "usl_n_star", Form::Csv}});
+    ReportTable t("E20 — blame decomposition vs. threads (shares of "
+                  "aggregate task wall time)\n",
+                  std::move(columns));
+
+    using B = jvm::WaitBucket;
     for (const BlamePoint &p : study.points) {
         const jvm::RunResult &r = p.run;
-        if (r.skipped || r.failed() || !r.profile.enabled) {
-            t.row({p.app, std::to_string(p.threads), cellStatus(r), "-",
-                   "-", "-", "-", "-", "-", "-", "-", "-", "-", "-"});
-            continue;
-        }
         const jvm::ProfileSummary &prof = r.profile;
-        // "runq" folds pure run-queue wait with waitset/channel parks
-        // and "other" collects the residual buckets, keeping the table
-        // readable; the CSV carries every bucket separately.
-        const double runq =
-            bucketShare(prof, jvm::WaitBucket::RunQueue) +
-            bucketShare(prof, jvm::WaitBucket::Waitset) +
-            bucketShare(prof, jvm::WaitBucket::Channel);
-        const double other =
-            bucketShare(prof, jvm::WaitBucket::Stall) +
-            bucketShare(prof, jvm::WaitBucket::Other);
-        t.row({p.app, std::to_string(p.threads), cellStatus(r),
-               formatPercent(bucketShare(prof, jvm::WaitBucket::Cpu)),
-               formatPercent(runq),
-               formatPercent(bucketShare(prof, jvm::WaitBucket::Lock)),
-               formatPercent(bucketShare(prof, jvm::WaitBucket::GcStw)),
-               formatPercent(bucketShare(prof, jvm::WaitBucket::Ttsp)),
-               formatPercent(
-                   bucketShare(prof, jvm::WaitBucket::AllocStall)),
-               formatPercent(
-                   bucketShare(prof, jvm::WaitBucket::Governor)),
-               formatPercent(other),
-               jvm::waitBucketName(prof.dominantWait()),
-               formatTicks(prof.latency.quantile(0.5)),
-               formatTicks(prof.latency.quantile(0.99))});
+        const bool ran = measured(r) && prof.enabled;
+        const auto share = [&prof](B b) { return bucketShare(prof, b); };
+        double n_star = 0.0;
+        for (const BlameAppFit &fit : study.fits) {
+            if (fit.app == p.app && fit.usl.valid) {
+                n_star = fit.usl.n_star;
+                break;
+            }
+        }
+        std::vector<Cell> cells = {
+            Cell::label(p.app), Cell::count(p.threads),
+            Cell::label(pointStatus(r)), Cell::ticks(r.wall_time),
+            Cell::count(prof.tasks), Cell::share(share(B::Cpu)),
+            Cell::share(share(B::RunQueue) + share(B::Waitset) +
+                        share(B::Channel)),
+            Cell::share(share(B::Lock)), Cell::share(share(B::GcStw)),
+            Cell::share(share(B::Ttsp)), Cell::share(share(B::AllocStall)),
+            Cell::share(share(B::Governor)),
+            Cell::share(share(B::Stall) + share(B::Other))};
+        for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i)
+            cells.push_back(Cell::fixed(share(static_cast<B>(i)), 6, 6));
+        cells.insert(
+            cells.end(),
+            {Cell::label(ran ? jvm::waitBucketName(prof.dominantWait())
+                             : "-"),
+             Cell::ticks(prof.latency.quantile(0.5)),
+             Cell::ticks(prof.latency.quantile(0.9)),
+             Cell::ticks(prof.latency.quantile(0.99)),
+             Cell::ticks(prof.latency.quantile(0.999)),
+             Cell::ticks(prof.latency.max()), Cell::fixed(n_star, 2, 2)});
+        pointRow(t, ran, std::move(cells),
+                 {Cell::label(p.app), Cell::count(p.threads),
+                  Cell::label(pointStatus(r))});
     }
-    t.print(os);
 
+    std::ostringstream os;
     os << "USL cross-reference (E17): fitted knee vs. the wait state "
           "dominating at the largest sweep point\n";
     TextTable f;
@@ -160,48 +180,8 @@ printBlameStudyTable(std::ostream &os, const BlameStudy &study)
                jvm::waitBucketName(fit.dominant)});
     }
     f.print(os);
-}
-
-void
-writeBlameStudyCsv(std::ostream &os, const BlameStudy &study)
-{
-    os << "app,threads,status,wall_ticks,tasks";
-    for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i) {
-        os << ",share_"
-           << jvm::waitBucketName(static_cast<jvm::WaitBucket>(i));
-    }
-    os << ",dominant,p50_ns,p90_ns,p99_ns,p999_ns,max_ns,usl_n_star\n";
-
-    for (const BlamePoint &p : study.points) {
-        const jvm::RunResult &r = p.run;
-        double n_star = 0.0;
-        for (const BlameAppFit &fit : study.fits) {
-            if (fit.app == p.app && fit.usl.valid) {
-                n_star = fit.usl.n_star;
-                break;
-            }
-        }
-        os << p.app << ',' << p.threads << ',' << cellStatus(r) << ','
-           << r.wall_time << ',' << r.profile.tasks;
-        for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i) {
-            os << ','
-               << formatFixed(
-                      bucketShare(r.profile,
-                                  static_cast<jvm::WaitBucket>(i)),
-                      6);
-        }
-        const bool measured =
-            !r.skipped && !r.failed() && r.profile.enabled;
-        os << ','
-           << (measured ? jvm::waitBucketName(r.profile.dominantWait())
-                        : "-")
-           << ',' << r.profile.latency.quantile(0.5) << ','
-           << r.profile.latency.quantile(0.9) << ','
-           << r.profile.latency.quantile(0.99) << ','
-           << r.profile.latency.quantile(0.999) << ','
-           << r.profile.latency.max() << ',' << formatFixed(n_star, 2)
-           << '\n';
-    }
+    t.footer(os.str());
+    return t;
 }
 
 } // namespace jscale::core

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "base/output.hh"
 #include "control/usl.hh"
 #include "core/experiment.hh"
 #include "jvm/runtime/vm.hh"
@@ -78,11 +79,11 @@ struct BlameStudy
  */
 BlameStudy runBlameStudy(const BlameConfig &config);
 
-/** Aligned-text report: per-cell blame shares, tails and USL knees. */
-void printBlameStudyTable(std::ostream &os, const BlameStudy &study);
-
-/** Machine-readable report: one row per (app, threads) cell. */
-void writeBlameStudyCsv(std::ostream &os, const BlameStudy &study);
+/**
+ * The study report: per-cell blame shares and tails (one row per
+ * (app, threads) cell), followed in text by the per-app USL knees.
+ */
+ReportTable blameStudyTable(const BlameStudy &study);
 
 } // namespace jscale::core
 

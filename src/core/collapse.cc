@@ -1,10 +1,12 @@
 #include "core/collapse.hh"
 
 #include <algorithm>
+#include <sstream>
 #include <utility>
 
 #include "base/logging.hh"
 #include "base/output.hh"
+#include "core/report.hh"
 
 namespace jscale::core {
 
@@ -52,16 +54,6 @@ armName(const CollapseArm &arm)
     if (arm.governed)
         name += "+gov";
     return name;
-}
-
-std::string
-pointStatus(const jvm::RunResult &r)
-{
-    if (r.failed())
-        return "failed";
-    if (r.skipped)
-        return "skipped";
-    return "ok";
 }
 
 } // namespace
@@ -153,91 +145,72 @@ summarizeCollapseArm(const CollapseStudy &study, const CollapseArm &arm)
     return s;
 }
 
-void
-printCollapseTable(std::ostream &os, const CollapseStudy &study)
+ReportTable
+collapseTable(const CollapseStudy &study)
 {
-    os << "E19 — scalability collapse by admission policy "
-          "(throughput in ops/s of simulated time)\n";
-    TextTable t;
-    t.header({"policy", "threads", "status", "wall", "tput", "circ",
-              "barged", "passiv", "react", "penalty", "blk-p99",
-              "target"});
-    for (const CollapseArm &arm : study.arms) {
-        for (std::size_t i = 0; i < arm.runs.size(); ++i) {
-            const jvm::RunResult &r = arm.runs[i];
-            const std::string target =
-                r.governor.enabled
-                    ? std::to_string(r.governor.final_target)
-                    : "-";
-            if (r.failed()) {
-                t.row({armName(arm), std::to_string(study.threads[i]),
-                       "failed", "-", "-", "-", "-", "-", "-", "-", "-",
-                       target});
-                continue;
-            }
-            t.row({armName(arm), std::to_string(study.threads[i]),
-                   pointStatus(r), formatTicks(r.wall_time),
-                   formatFixed(throughput(r), 1),
-                   formatFixed(circulation(r), 2),
-                   std::to_string(r.locks.barged_grants),
-                   std::to_string(r.locks.waiters_passivated),
-                   std::to_string(r.locks.waiters_reactivated),
-                   formatTicks(r.locks.coherence_penalty),
-                   formatTicks(r.locks.block_hist.quantile(0.99)),
-                   target});
-        }
-    }
-    t.print(os);
-
-    os << "\narm summaries (retention = throughput at max threads / "
-          "peak):\n";
+    ReportTable t("E19 — scalability collapse by admission policy "
+                  "(throughput in ops/s of simulated time)\n",
+                  {{"policy", "policy"},
+                   {"", "governed", Form::Csv},
+                   {"threads", "threads"},
+                   {"status", "status"},
+                   {"wall", "wall_ticks"},
+                   {"tput", "throughput"},
+                   {"circ", "", Form::Text},
+                   {"", "handoffs", Form::Csv},
+                   {"barged", "barged_grants"},
+                   {"passiv", "waiters_passivated"},
+                   {"react", "waiters_reactivated"},
+                   {"", "circulation_avg", Form::Csv},
+                   {"penalty", "coherence_penalty_ticks"},
+                   {"", "block_p50_ticks", Form::Csv},
+                   {"blk-p99", "block_p99_ticks"},
+                   {"target", "gov_target"}});
+    std::ostringstream footer;
+    footer << "\narm summaries (retention = throughput at max threads / "
+              "peak):\n";
     TextTable s;
     s.header({"policy", "peak-tput", "peak-T", "maxT-tput", "retention"});
+    std::ostringstream failures;
     for (const CollapseArm &arm : study.arms) {
+        const Cell policy{armName(arm), jvm::lockPolicyName(arm.policy)};
+        for (std::size_t i = 0; i < arm.runs.size(); ++i) {
+            const jvm::RunResult &r = arm.runs[i];
+            const Cell threads = Cell::count(study.threads[i]);
+            const Cell status = Cell::label(pointStatus(r));
+            pointRow(t, measured(r),
+                     {policy, Cell::count(arm.governed ? 1 : 0), threads,
+                      status, Cell::ticks(r.wall_time),
+                      Cell::fixed(throughput(r), 1, 3),
+                      Cell::fixed(circulation(r), 2, 2),
+                      Cell::count(r.locks.handoffs),
+                      Cell::count(r.locks.barged_grants),
+                      Cell::count(r.locks.waiters_passivated),
+                      Cell::count(r.locks.waiters_reactivated),
+                      Cell::fixed(circulation(r), 3, 3),
+                      Cell::ticks(r.locks.coherence_penalty),
+                      Cell::ticks(r.locks.block_hist.quantile(0.50)),
+                      Cell::ticks(r.locks.block_hist.quantile(0.99)),
+                      Cell::label(r.governor.enabled
+                                      ? std::to_string(
+                                            r.governor.final_target)
+                                      : "-")},
+                     {policy, threads, status});
+            if (r.failed()) {
+                failures << "failed: " << armName(arm) << " t"
+                         << study.threads[i] << ": " << r.run_error
+                         << "\n";
+            }
+        }
         const CollapseSummary sum = summarizeCollapseArm(study, arm);
         s.row({armName(arm), formatFixed(sum.peak_throughput, 1),
                std::to_string(sum.peak_threads),
                formatFixed(sum.max_threads_throughput, 1),
                formatPercent(sum.retention)});
     }
-    s.print(os);
-    for (const CollapseArm &arm : study.arms) {
-        for (std::size_t i = 0; i < arm.runs.size(); ++i) {
-            if (arm.runs[i].failed())
-                os << "failed: " << armName(arm) << " t"
-                   << study.threads[i] << ": " << arm.runs[i].run_error
-                   << "\n";
-        }
-    }
-}
-
-void
-writeCollapseCsv(std::ostream &os, const CollapseStudy &study)
-{
-    os << "policy,governed,threads,status,wall_ticks,throughput,"
-          "handoffs,barged_grants,waiters_passivated,"
-          "waiters_reactivated,circulation_avg,coherence_penalty_ticks,"
-          "block_p50_ticks,block_p99_ticks,gov_target\n";
-    for (const CollapseArm &arm : study.arms) {
-        for (std::size_t i = 0; i < arm.runs.size(); ++i) {
-            const jvm::RunResult &r = arm.runs[i];
-            os << jvm::lockPolicyName(arm.policy) << ','
-               << (arm.governed ? 1 : 0) << ',' << study.threads[i]
-               << ',' << pointStatus(r) << ',' << r.wall_time << ','
-               << formatFixed(throughput(r), 3) << ','
-               << r.locks.handoffs << ',' << r.locks.barged_grants
-               << ',' << r.locks.waiters_passivated << ','
-               << r.locks.waiters_reactivated << ','
-               << formatFixed(circulation(r), 3) << ','
-               << r.locks.coherence_penalty << ','
-               << r.locks.block_hist.quantile(0.50) << ','
-               << r.locks.block_hist.quantile(0.99) << ','
-               << (r.governor.enabled
-                       ? std::to_string(r.governor.final_target)
-                       : std::string("-"))
-               << '\n';
-        }
-    }
+    s.print(footer);
+    t.footer(footer.str() + failures.str());
+    return t;
 }
 
 } // namespace jscale::core

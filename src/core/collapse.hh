@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "base/output.hh"
 #include "core/experiment.hh"
 #include "jvm/locks/policy.hh"
 #include "jvm/runtime/vm.hh"
@@ -94,11 +95,12 @@ CollapseStudy runCollapseStudy(const CollapseConfig &config);
 CollapseSummary summarizeCollapseArm(const CollapseStudy &study,
                                      const CollapseArm &arm);
 
-/** Aligned-text study report (throughput, circulation, tails). */
-void printCollapseTable(std::ostream &os, const CollapseStudy &study);
-
-/** Machine-readable report: one row per (arm, threads) point. */
-void writeCollapseCsv(std::ostream &os, const CollapseStudy &study);
+/**
+ * The study report: one row per (arm, threads) point with throughput,
+ * circulation and tails, followed in text by each arm's scalability
+ * summary and the failed points' errors.
+ */
+ReportTable collapseTable(const CollapseStudy &study);
 
 } // namespace jscale::core
 

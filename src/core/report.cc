@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "base/logging.hh"
-#include "base/output.hh"
 #include "core/analyze.hh"
 #include "trace/trace.hh"
 
@@ -26,296 +25,251 @@ measuredRuns(const std::vector<jvm::RunResult> &sweep)
 {
     std::vector<jvm::RunResult> out;
     for (const auto &r : sweep) {
-        if (!r.skipped && !r.failed())
+        if (measured(r))
             out.push_back(r);
     }
     return out;
 }
 
-} // namespace
-
-void
-printScalabilityTable(std::ostream &os, const SweepSet &sweeps)
+/**
+ * A sweep table: @p columns after the leading app and threads columns,
+ * one row per point. @p cells renders a measured point given the app's
+ * measured points (the anchor of its speedups and ratios); an
+ * unmeasured point is a "-" row ending in its status.
+ */
+template <typename CellsFn>
+ReportTable
+sweepTable(std::string title, std::vector<Column> columns,
+           const SweepSet &sweeps, CellsFn cells)
 {
-    os << "E1: execution time and speedup vs. threads "
-          "(threads == enabled cores, heap = 3x min)\n";
-    TextTable t;
-    t.header({"app", "threads", "wall", "speedup", "mutator", "gc",
-              "gc-share", "class"});
+    columns.insert(columns.begin(), {{"app", "app"},
+                                     {"threads", "threads"}});
+    ReportTable t(std::move(title), std::move(columns));
     for (const auto &[app, sweep] : sweeps) {
         jscale_assert(!sweep.empty(), "empty sweep for ", app);
-        const auto measured = measuredRuns(sweep);
-        const char *cls =
-            measured.size() >= 2
-                ? (ScalabilityAnalyzer::isScalable(measured)
-                       ? "scalable"
-                       : "non-scalable")
-                : "n/a";
+        const auto ran = measuredRuns(sweep);
         for (const auto &r : sweep) {
-            // Shard-skipped or failed points have no measurements;
-            // show their status instead of fabricating numbers.
-            if (r.skipped || r.failed()) {
-                t.row({app, std::to_string(r.threads), "-", "-", "-",
-                       "-", "-", r.skipped ? "skipped" : "failed"});
+            std::vector<Cell> row = {Cell::label(app),
+                                     Cell::count(r.threads)};
+            if (!measured(r)) {
+                t.missingRow(std::move(row),
+                             Cell::label(pointStatus(r)));
                 continue;
             }
-            t.row({app, std::to_string(r.threads),
-                   formatTicks(r.wall_time),
-                   formatFixed(ScalabilityAnalyzer::speedup(
-                                   measured.front(), r),
-                               2),
-                   formatTicks(r.mutatorTime()), formatTicks(r.gc_time),
-                   formatPercent(ScalabilityAnalyzer::gcShare(r)), cls});
+            for (Cell &c : cells(ran, r))
+                row.push_back(std::move(c));
+            t.row(std::move(row));
         }
     }
-    t.print(os);
+    return t;
+}
+
+} // namespace
+
+bool
+measured(const jvm::RunResult &r)
+{
+    return !r.skipped && !r.failed();
+}
+
+std::string
+pointStatus(const jvm::RunResult &r)
+{
+    if (r.failed())
+        return "failed";
+    if (r.skipped)
+        return "skipped";
+    return "ok";
 }
 
 void
-writeScalabilityCsv(std::ostream &os, const SweepSet &sweeps)
+pointRow(ReportTable &t, bool ran, std::vector<Cell> cells,
+         std::vector<Cell> lead)
 {
-    CsvWriter csv(os);
-    csv.row({"app", "threads", "wall_ns", "speedup", "mutator_ns",
-             "gc_ns", "gc_share", "scalable"});
-    for (const auto &[app, sweep] : sweeps) {
-        // Machine-readable output carries measured points only:
-        // skipped/failed runs have no numbers downstream tools could use.
-        const auto measured = measuredRuns(sweep);
-        if (measured.empty())
-            continue;
-        const bool scalable = measured.size() >= 2 &&
-                              ScalabilityAnalyzer::isScalable(measured);
-        for (const auto &r : measured) {
-            csv.row({app, std::to_string(r.threads),
-                     std::to_string(r.wall_time),
-                     formatFixed(ScalabilityAnalyzer::speedup(
-                                     measured.front(), r),
-                                 4),
-                     std::to_string(r.mutatorTime()),
-                     std::to_string(r.gc_time),
-                     formatFixed(ScalabilityAnalyzer::gcShare(r), 4),
-                     scalable ? "1" : "0"});
-        }
+    if (ran) {
+        t.row(std::move(cells));
+        return;
     }
+    t.row(std::move(cells), Form::Csv);
+    t.missingRow(std::move(lead));
 }
 
-void
-printWorkloadDistributionTable(std::ostream &os, const SweepSet &sweeps)
+ReportTable
+scalabilityTable(const SweepSet &sweeps)
 {
-    os << "E2: workload distribution across threads "
-          "(effective workers cover 90% of tasks)\n";
-    TextTable t;
-    t.header({"app", "threads", "tasks", "eff-workers", "top-share",
-              "task-cv"});
-    for (const auto &[app, sweep] : sweeps) {
-        for (const auto &r : sweep) {
-            t.row({app, std::to_string(r.threads),
-                   std::to_string(r.total_tasks),
-                   std::to_string(
-                       ScalabilityAnalyzer::effectiveWorkers(r)),
-                   formatPercent(ScalabilityAnalyzer::topThreadShare(r)),
-                   formatFixed(
-                       ScalabilityAnalyzer::taskDistributionCv(r), 2)});
-        }
-    }
-    t.print(os);
+    return sweepTable(
+        "E1: execution time and speedup vs. threads "
+        "(threads == enabled cores, heap = 3x min)\n",
+        {{"wall", "wall_ns"},
+         {"speedup", "speedup"},
+         {"mutator", "mutator_ns"},
+         {"gc", "gc_ns"},
+         {"gc-share", "gc_share"},
+         {"class", "scalable"}},
+        sweeps, [](const auto &ran, const jvm::RunResult &r) {
+            const bool two = ran.size() >= 2;
+            const bool scalable =
+                two && ScalabilityAnalyzer::isScalable(ran);
+            return std::vector<Cell>{
+                Cell::ticks(r.wall_time),
+                Cell::fixed(ScalabilityAnalyzer::speedup(ran.front(), r),
+                            2, 4),
+                Cell::ticks(r.mutatorTime()), Cell::ticks(r.gc_time),
+                Cell::share(ScalabilityAnalyzer::gcShare(r)),
+                Cell{!two ? "n/a"
+                          : scalable ? "scalable" : "non-scalable",
+                     scalable ? "1" : "0"}};
+        });
 }
 
-void
-writeWorkloadDistributionCsv(std::ostream &os, const SweepSet &sweeps)
+ReportTable
+workloadDistributionTable(const SweepSet &sweeps)
 {
-    CsvWriter csv(os);
-    csv.row({"app", "threads", "tasks", "effective_workers", "top_share",
-             "task_cv"});
-    for (const auto &[app, sweep] : sweeps) {
-        for (const auto &r : sweep) {
-            csv.row({app, std::to_string(r.threads),
-                     std::to_string(r.total_tasks),
-                     std::to_string(
-                         ScalabilityAnalyzer::effectiveWorkers(r)),
-                     formatFixed(
-                         ScalabilityAnalyzer::topThreadShare(r), 4),
-                     formatFixed(
-                         ScalabilityAnalyzer::taskDistributionCv(r),
-                         4)});
-        }
-    }
+    return sweepTable(
+        "E2: workload distribution across threads "
+        "(effective workers cover 90% of tasks)\n",
+        {{"tasks", "tasks"},
+         {"eff-workers", "effective_workers"},
+         {"top-share", "top_share"},
+         {"task-cv", "task_cv"}},
+        sweeps, [](const auto &, const jvm::RunResult &r) {
+            return std::vector<Cell>{
+                Cell::count(r.total_tasks),
+                Cell::count(ScalabilityAnalyzer::effectiveWorkers(r)),
+                Cell::share(ScalabilityAnalyzer::topThreadShare(r)),
+                Cell::fixed(ScalabilityAnalyzer::taskDistributionCv(r), 2,
+                            4)};
+        });
 }
 
 namespace {
 
-void
-printLockSeries(std::ostream &os, const SweepSet &sweeps,
-                bool contentions, const char *title)
+/** E3/E4: one lock counter per point, relative to the first point. */
+ReportTable
+lockSeriesTable(const SweepSet &sweeps, const char *title,
+                const char *counter,
+                std::uint64_t jvm::LockTotals::*field)
 {
-    os << title << '\n';
-    TextTable t;
-    t.header({"app", "threads", contentions ? "contentions"
-                                            : "acquisitions",
-              "vs-min-threads"});
-    for (const auto &[app, sweep] : sweeps) {
-        jscale_assert(!sweep.empty(), "empty sweep for ", app);
-        const double base = std::max<double>(
-            1.0, static_cast<double>(
-                     contentions ? sweep.front().locks.contentions
-                                 : sweep.front().locks.acquisitions));
-        for (const auto &r : sweep) {
-            const std::uint64_t v = contentions ? r.locks.contentions
-                                                : r.locks.acquisitions;
-            t.row({app, std::to_string(r.threads), std::to_string(v),
-                   formatFixed(static_cast<double>(v) / base, 2) + "x"});
-        }
-    }
-    t.print(os);
-}
-
-void
-writeLockSeriesCsv(std::ostream &os, const SweepSet &sweeps,
-                   bool contentions)
-{
-    CsvWriter csv(os);
-    csv.row({"app", "threads",
-             contentions ? "contentions" : "acquisitions"});
-    for (const auto &[app, sweep] : sweeps) {
-        for (const auto &r : sweep) {
-            csv.row({app, std::to_string(r.threads),
-                     std::to_string(contentions ? r.locks.contentions
-                                                : r.locks.acquisitions)});
-        }
-    }
+    return sweepTable(
+        title,
+        {{counter, counter}, {"vs-min-threads", "", Form::Text}}, sweeps,
+        [field](const auto &ran, const jvm::RunResult &r) {
+            const double base = std::max<double>(
+                1.0, static_cast<double>(ran.front().locks.*field));
+            const std::uint64_t v = r.locks.*field;
+            return std::vector<Cell>{
+                Cell::count(v),
+                Cell::label(
+                    formatFixed(static_cast<double>(v) / base, 2) + "x")};
+        });
 }
 
 } // namespace
 
-void
-printLockAcquisitionTable(std::ostream &os, const SweepSet &sweeps)
+ReportTable
+lockAcquisitionTable(const SweepSet &sweeps)
 {
-    printLockSeries(os, sweeps, false,
-                    "E3 (Fig. 1a): lock acquisitions vs. threads");
+    return lockSeriesTable(sweeps,
+                           "E3 (Fig. 1a): lock acquisitions vs. threads\n",
+                           "acquisitions", &jvm::LockTotals::acquisitions);
 }
 
-void
-writeLockAcquisitionCsv(std::ostream &os, const SweepSet &sweeps)
+ReportTable
+lockContentionTable(const SweepSet &sweeps)
 {
-    writeLockSeriesCsv(os, sweeps, false);
+    return lockSeriesTable(
+        sweeps, "E4 (Fig. 1b): lock contention instances vs. threads\n",
+        "contentions", &jvm::LockTotals::contentions);
 }
 
-void
-printLockContentionTable(std::ostream &os, const SweepSet &sweeps)
+ReportTable
+lifespanCdfTable(const std::string &app,
+                 const std::vector<jvm::RunResult> &sweep)
 {
-    printLockSeries(os, sweeps, true,
-                    "E4 (Fig. 1b): lock contention instances vs. threads");
-}
-
-void
-writeLockContentionCsv(std::ostream &os, const SweepSet &sweeps)
-{
-    writeLockSeriesCsv(os, sweeps, true);
-}
-
-void
-printLifespanCdfTable(std::ostream &os, const std::string &app,
-                      const std::vector<jvm::RunResult> &sweep)
-{
-    os << "Object-lifespan CDF for " << app
-       << " (fraction of objects with lifespan < threshold; lifespan = "
-          "bytes allocated between birth and death)\n";
-    TextTable t;
-    std::vector<std::string> header = {"lifespan <"};
+    // The text pivots thresholds against points; the CSV is long-form.
+    // The two forms share no column, so every row is one-form.
+    std::vector<Column> columns = {{"lifespan <", "", Form::Text}};
     for (const auto &r : sweep)
-        header.push_back(threadsLabel(r));
-    t.header(header);
-    for (const auto threshold : trace::paperLifespanThresholds()) {
-        std::vector<std::string> row = {formatBytes(threshold)};
+        columns.push_back({threadsLabel(r), "", Form::Text});
+    for (const char *name :
+         {"app", "threads", "threshold_bytes", "fraction_below"})
+        columns.push_back({"", name, Form::Csv});
+    ReportTable t("Object-lifespan CDF for " + app +
+                      " (fraction of objects with lifespan < threshold; "
+                      "lifespan = bytes allocated between birth and "
+                      "death)\n",
+                  std::move(columns));
+    const auto thresholds = trace::paperLifespanThresholds();
+    for (const auto threshold : thresholds) {
+        std::vector<Cell> row = {Cell::label(formatBytes(threshold))};
         for (const auto &r : sweep) {
             row.push_back(
-                formatPercent(r.heap.lifespan.fractionBelow(threshold)));
+                measured(r)
+                    ? Cell::share(r.heap.lifespan.fractionBelow(threshold))
+                    : Cell::missing());
         }
-        t.row(row);
+        t.row(std::move(row), Form::Text);
     }
-    t.print(os);
+    for (const auto &r : measuredRuns(sweep)) {
+        for (const auto threshold : thresholds) {
+            t.row({Cell::label(app), Cell::count(r.threads),
+                   Cell::count(threshold),
+                   Cell::share(r.heap.lifespan.fractionBelow(threshold))},
+                  Form::Csv);
+        }
+    }
+    return t;
 }
 
-void
-writeLifespanCdfCsv(std::ostream &os, const std::string &app,
-                    const std::vector<jvm::RunResult> &sweep)
+ReportTable
+mutatorGcTable(const SweepSet &sweeps)
 {
-    CsvWriter csv(os);
-    csv.row({"app", "threads", "threshold_bytes", "fraction_below"});
-    for (const auto &r : sweep) {
-        for (const auto threshold : trace::paperLifespanThresholds()) {
-            csv.row({app, std::to_string(r.threads),
-                     std::to_string(threshold),
-                     formatFixed(
-                         r.heap.lifespan.fractionBelow(threshold), 4)});
-        }
-    }
+    return sweepTable(
+        "E7 (Fig. 2): distribution of mutator and GC times\n",
+        {{"wall", "wall_ns"},
+         {"mutator", "mutator_ns"},
+         {"gc", "gc_ns"},
+         {"gc-share", "gc_share"},
+         {"mutator-speedup", "", Form::Text},
+         {"minor-gcs", "minor_gcs"},
+         {"full-gcs", "full_gcs"}},
+        sweeps, [](const auto &ran, const jvm::RunResult &r) {
+            return std::vector<Cell>{
+                Cell::ticks(r.wall_time), Cell::ticks(r.mutatorTime()),
+                Cell::ticks(r.gc_time),
+                Cell::share(ScalabilityAnalyzer::gcShare(r)),
+                Cell::fixed(
+                    ScalabilityAnalyzer::mutatorSpeedup(ran.front(), r), 2,
+                    2),
+                Cell::count(r.gc.minor_count),
+                Cell::count(r.gc.full_count)};
+        });
 }
 
-void
-printMutatorGcTable(std::ostream &os, const SweepSet &sweeps)
+ReportTable
+gcSurvivalTable(const SweepSet &sweeps)
 {
-    os << "E7 (Fig. 2): distribution of mutator and GC times\n";
-    TextTable t;
-    t.header({"app", "threads", "wall", "mutator", "gc", "gc-share",
-              "mutator-speedup", "minor-gcs", "full-gcs"});
-    for (const auto &[app, sweep] : sweeps) {
-        for (const auto &r : sweep) {
-            t.row({app, std::to_string(r.threads),
-                   formatTicks(r.wall_time), formatTicks(r.mutatorTime()),
-                   formatTicks(r.gc_time),
-                   formatPercent(ScalabilityAnalyzer::gcShare(r)),
-                   formatFixed(ScalabilityAnalyzer::mutatorSpeedup(
-                                   sweep.front(), r),
-                               2),
-                   std::to_string(r.gc.minor_count),
-                   std::to_string(r.gc.full_count)});
-        }
-    }
-    t.print(os);
-}
-
-void
-writeMutatorGcCsv(std::ostream &os, const SweepSet &sweeps)
-{
-    CsvWriter csv(os);
-    csv.row({"app", "threads", "wall_ns", "mutator_ns", "gc_ns",
-             "gc_share", "minor_gcs", "full_gcs"});
-    for (const auto &[app, sweep] : sweeps) {
-        for (const auto &r : sweep) {
-            csv.row({app, std::to_string(r.threads),
-                     std::to_string(r.wall_time),
-                     std::to_string(r.mutatorTime()),
-                     std::to_string(r.gc_time),
-                     formatFixed(ScalabilityAnalyzer::gcShare(r), 4),
-                     std::to_string(r.gc.minor_count),
-                     std::to_string(r.gc.full_count)});
-        }
-    }
-}
-
-void
-printGcSurvivalTable(std::ostream &os, const SweepSet &sweeps)
-{
-    os << "E8: GC effectiveness vs. threads (nursery survival drives "
-          "copy cost and promotions)\n";
-    TextTable t;
-    t.header({"app", "threads", "survival", "copied", "promoted",
-              "minor-gcs", "full-gcs", "mean-pause", "ttsp"});
-    for (const auto &[app, sweep] : sweeps) {
-        for (const auto &r : sweep) {
-            t.row({app, std::to_string(r.threads),
-                   formatPercent(r.gc.nursery_survival.mean()),
-                   formatBytes(r.gc.copied_bytes),
-                   formatBytes(r.gc.promoted_bytes),
-                   std::to_string(r.gc.minor_count),
-                   std::to_string(r.gc.full_count),
-                   formatTicks(static_cast<Ticks>(
-                       r.gc.minor_pauses.mean())),
-                   formatTicks(r.gc.total_ttsp)});
-        }
-    }
-    t.print(os);
+    ReportTable t = sweepTable(
+        "E8: GC effectiveness vs. threads (nursery survival drives "
+        "copy cost and promotions)\n",
+        {{"survival", "survival"},
+         {"copied", "copied_bytes"},
+         {"promoted", "promoted_bytes"},
+         {"minor-gcs", "minor_gcs"},
+         {"full-gcs", "full_gcs"},
+         {"mean-pause", "mean_pause_ns"},
+         {"ttsp", "ttsp_ns"}},
+        sweeps, [](const auto &, const jvm::RunResult &r) {
+            return std::vector<Cell>{
+                Cell::share(r.gc.nursery_survival.mean()),
+                Cell::bytes(r.gc.copied_bytes),
+                Cell::bytes(r.gc.promoted_bytes),
+                Cell::count(r.gc.minor_count),
+                Cell::count(r.gc.full_count),
+                Cell::meanTicks(r.gc.minor_pauses.mean()),
+                Cell::ticks(r.gc.total_ttsp)};
+        });
+    std::ostringstream os;
     os << "(p50/p99 pauses per app at the largest setting: ";
     bool first = true;
     for (const auto &[app, sweep] : sweeps) {
@@ -328,27 +282,8 @@ printGcSurvivalTable(std::ostream &os, const SweepSet &sweeps)
         first = false;
     }
     os << ")\n";
-}
-
-void
-writeGcSurvivalCsv(std::ostream &os, const SweepSet &sweeps)
-{
-    CsvWriter csv(os);
-    csv.row({"app", "threads", "survival", "copied_bytes",
-             "promoted_bytes", "minor_gcs", "full_gcs", "mean_pause_ns",
-             "ttsp_ns"});
-    for (const auto &[app, sweep] : sweeps) {
-        for (const auto &r : sweep) {
-            csv.row({app, std::to_string(r.threads),
-                     formatFixed(r.gc.nursery_survival.mean(), 4),
-                     std::to_string(r.gc.copied_bytes),
-                     std::to_string(r.gc.promoted_bytes),
-                     std::to_string(r.gc.minor_count),
-                     std::to_string(r.gc.full_count),
-                     formatFixed(r.gc.minor_pauses.mean(), 0),
-                     std::to_string(r.gc.total_ttsp)});
-        }
-    }
+    t.footer(os.str());
+    return t;
 }
 
 namespace {
@@ -384,47 +319,25 @@ suspendMeans(const jvm::RunResult &r)
 
 } // namespace
 
-void
-printSuspendWaitTable(std::ostream &os, const SweepSet &sweeps)
+ReportTable
+suspendWaitTable(const SweepSet &sweeps)
 {
-    os << "E14: per-mutator suspend wait vs. threads (the Sec. III-B "
-          "interference mechanism)\n";
-    TextTable t;
-    t.header({"app", "threads", "mean-ready-wait", "mean-lock-block",
-              "suspend/cpu", "lifespan<1KiB"});
-    for (const auto &[app, sweep] : sweeps) {
-        for (const auto &r : sweep) {
+    return sweepTable(
+        "E14: per-mutator suspend wait vs. threads (the Sec. III-B "
+        "interference mechanism)\n",
+        {{"mean-ready-wait", "mean_ready_ns"},
+         {"mean-lock-block", "mean_blocked_ns"},
+         {"suspend/cpu", "suspend_over_cpu"},
+         {"lifespan<1KiB", "lifespan_lt_1k"}},
+        sweeps, [](const auto &, const jvm::RunResult &r) {
             const SuspendMeans m = suspendMeans(r);
-            const double suspend = m.ready + m.blocked;
-            t.row({app, std::to_string(r.threads),
-                   formatTicks(static_cast<Ticks>(m.ready)),
-                   formatTicks(static_cast<Ticks>(m.blocked)),
-                   formatFixed(m.cpu > 0 ? suspend / m.cpu : 0.0, 3),
-                   formatPercent(
-                       r.heap.lifespan.fractionBelow(1024))});
-        }
-    }
-    t.print(os);
-}
-
-void
-writeSuspendWaitCsv(std::ostream &os, const SweepSet &sweeps)
-{
-    CsvWriter csv(os);
-    csv.row({"app", "threads", "mean_ready_ns", "mean_blocked_ns",
-             "suspend_over_cpu", "lifespan_lt_1k"});
-    for (const auto &[app, sweep] : sweeps) {
-        for (const auto &r : sweep) {
-            const SuspendMeans m = suspendMeans(r);
-            csv.row({app, std::to_string(r.threads),
-                     formatFixed(m.ready, 0), formatFixed(m.blocked, 0),
-                     formatFixed(m.cpu > 0 ? (m.ready + m.blocked) / m.cpu
-                                           : 0.0,
-                                 4),
-                     formatFixed(r.heap.lifespan.fractionBelow(1024),
-                                 4)});
-        }
-    }
+            return std::vector<Cell>{
+                Cell::meanTicks(m.ready), Cell::meanTicks(m.blocked),
+                Cell::fixed(m.cpu > 0 ? (m.ready + m.blocked) / m.cpu
+                                      : 0.0,
+                            3, 4),
+                Cell::share(r.heap.lifespan.fractionBelow(1024))};
+        });
 }
 
 void
@@ -450,128 +363,84 @@ printThreadTable(std::ostream &os, const jvm::RunResult &r)
     t.print(os);
 }
 
-namespace {
-
-/** Absolute-thread-count speedup points of one sweep. */
-std::vector<control::UslPoint>
-sweepUslPoints(const std::vector<jvm::RunResult> &sweep)
+ReportTable
+uslTable(const std::vector<UslSeries> &series)
 {
-    std::vector<control::UslPoint> pts;
-    pts.reserve(sweep.size());
-    for (const auto &r : sweep) {
-        pts.push_back({static_cast<double>(r.threads),
-                       ScalabilityAnalyzer::speedup(sweep.front(), r)});
-    }
-    return pts;
-}
-
-/** Derived per-app row of the USL table. */
-struct UslRowData
-{
-    control::UslFit fit;
-    double max_n = 0.0;
-    double knee = 0.0; // thread count of the best observed speedup
-    double peak = 0.0; // best observed speedup
-    std::uint32_t rec = 0;
-    std::string cls;
-};
-
-UslRowData
-uslRowData(const std::vector<control::UslPoint> &pts)
-{
-    UslRowData d;
-    d.fit = control::UslModel::fit(pts);
-    for (const auto &p : pts) {
-        d.max_n = std::max(d.max_n, p.n);
-        if (p.speedup > d.peak) { // strict: earliest point wins ties
-            d.peak = p.speedup;
-            d.knee = p.n;
+    ReportTable t("E17: USL fit per app: "
+                  "S(n) = n / (1 + sigma*(n-1) + kappa*n*(n-1))\n",
+                  {{"app", "app"},
+                   {"sigma", "sigma"},
+                   {"kappa", "kappa"},
+                   {"n*", "", Form::Text},
+                   {"", "n_star", Form::Csv},
+                   {"rec-threads", "recommended_threads"},
+                   {"peak-pred", "predicted_peak"},
+                   {"knee-obs", "observed_knee"},
+                   {"peak-obs", "observed_peak"},
+                   {"rms", "rms_residual"},
+                   {"knee-class", "knee_class"}});
+    for (const auto &s : series) {
+        const control::UslFit fit = control::UslModel::fit(s.points);
+        double max_n = 0.0;
+        double knee = 0.0; // thread count of the best observed speedup
+        double peak = 0.0; // best observed speedup
+        for (const auto &p : s.points) {
+            max_n = std::max(max_n, p.n);
+            if (p.speedup > peak) { // strict: earliest point wins ties
+                peak = p.speedup;
+                knee = p.n;
+            }
         }
+        const Cell observed_knee = Cell::fixed(knee, 0, 0);
+        const Cell observed_peak = Cell::fixed(peak, 2, 4);
+        if (!fit.valid) {
+            const Cell none = Cell::missing();
+            t.row({Cell::label(s.app), none, none, none, none, none, none,
+                   observed_knee, observed_peak, none,
+                   Cell::label("unfit")});
+            continue;
+        }
+        std::uint32_t rec = 0;
+        std::string cls;
+        if (fit.n_star <= 0.0 || fit.n_star >= max_n) {
+            // No interior optimum within the measured range: the model
+            // says keep adding threads up to what was actually swept.
+            rec = static_cast<std::uint32_t>(std::lround(max_n));
+            cls = "beyond-sweep";
+        } else {
+            rec = static_cast<std::uint32_t>(
+                std::max<long>(1, std::lround(fit.n_star)));
+            cls = "in-sweep";
+        }
+        t.row({Cell::label(s.app), Cell::fixed(fit.sigma, 4, 6),
+               Cell::fixed(fit.kappa, 6, 6),
+               fit.n_star > 0.0 ? Cell::fixed(fit.n_star, 1, 1)
+                                : Cell::missing(),
+               Cell::fixed(fit.n_star, 2, 2), Cell::count(rec),
+               Cell::fixed(fit.peak_speedup, 2, 4), observed_knee,
+               observed_peak, Cell::fixed(fit.rms_residual, 3, 4),
+               Cell::label(cls)});
     }
-    if (!d.fit.valid) {
-        d.cls = "unfit";
-        return d;
-    }
-    if (d.fit.n_star <= 0.0 || d.fit.n_star >= d.max_n) {
-        // No interior optimum within the measured range: the model says
-        // keep adding threads up to what was actually swept.
-        d.rec = static_cast<std::uint32_t>(std::lround(d.max_n));
-        d.cls = "beyond-sweep";
-    } else {
-        d.rec = static_cast<std::uint32_t>(
-            std::max<long>(1, std::lround(d.fit.n_star)));
-        d.cls = "in-sweep";
-    }
-    return d;
+    return t;
 }
 
-std::vector<UslSeries>
-sweepUslSeries(const SweepSet &sweeps)
+ReportTable
+uslTable(const SweepSet &sweeps)
 {
+    // Absolute-thread-count speedups over each sweep's measured points.
     std::vector<UslSeries> series;
     series.reserve(sweeps.size());
     for (const auto &[app, sweep] : sweeps) {
-        jscale_assert(!sweep.empty(), "empty sweep for ", app);
-        series.push_back({app, sweepUslPoints(sweep)});
-    }
-    return series;
-}
-
-} // namespace
-
-void
-printUslSeriesTable(std::ostream &os, const std::vector<UslSeries> &series)
-{
-    os << "E17: USL fit per app: "
-          "S(n) = n / (1 + sigma*(n-1) + kappa*n*(n-1))\n";
-    TextTable t;
-    t.header({"app", "sigma", "kappa", "n*", "rec-threads", "peak-pred",
-              "knee-obs", "peak-obs", "rms", "knee-class"});
-    for (const auto &s : series) {
-        const UslRowData d = uslRowData(s.points);
-        if (!d.fit.valid) {
-            t.row({s.app, "-", "-", "-", "-", "-",
-                   formatFixed(d.knee, 0), formatFixed(d.peak, 2), "-",
-                   d.cls});
-            continue;
+        UslSeries s{app, {}};
+        const auto ran = measuredRuns(sweep);
+        for (const auto &r : ran) {
+            s.points.push_back(
+                {static_cast<double>(r.threads),
+                 ScalabilityAnalyzer::speedup(ran.front(), r)});
         }
-        t.row({s.app, formatFixed(d.fit.sigma, 4),
-               formatFixed(d.fit.kappa, 6),
-               d.fit.n_star > 0.0 ? formatFixed(d.fit.n_star, 1) : "-",
-               std::to_string(d.rec), formatFixed(d.fit.peak_speedup, 2),
-               formatFixed(d.knee, 0), formatFixed(d.peak, 2),
-               formatFixed(d.fit.rms_residual, 3), d.cls});
+        series.push_back(std::move(s));
     }
-    t.print(os);
-}
-
-void
-printUslTable(std::ostream &os, const SweepSet &sweeps)
-{
-    printUslSeriesTable(os, sweepUslSeries(sweeps));
-}
-
-void
-writeUslCsv(std::ostream &os, const SweepSet &sweeps)
-{
-    CsvWriter csv(os);
-    csv.row({"app", "sigma", "kappa", "n_star", "recommended_threads",
-             "predicted_peak", "observed_knee", "observed_peak",
-             "rms_residual", "knee_class"});
-    for (const auto &s : sweepUslSeries(sweeps)) {
-        const UslRowData d = uslRowData(s.points);
-        if (!d.fit.valid) {
-            csv.row({s.app, "", "", "", "", "", formatFixed(d.knee, 0),
-                     formatFixed(d.peak, 4), "", d.cls});
-            continue;
-        }
-        csv.row({s.app, formatFixed(d.fit.sigma, 6),
-                 formatFixed(d.fit.kappa, 6),
-                 formatFixed(d.fit.n_star, 2), std::to_string(d.rec),
-                 formatFixed(d.fit.peak_speedup, 4),
-                 formatFixed(d.knee, 0), formatFixed(d.peak, 4),
-                 formatFixed(d.fit.rms_residual, 4), d.cls});
-    }
+    return uslTable(series);
 }
 
 void
@@ -749,58 +618,75 @@ runStatSnapshot(const jvm::RunResult &r)
 
 namespace {
 
-/** Tail-quantile cells (p50/p90/p99/p999/max) of one histogram. */
-std::vector<std::string>
-quantileCells(const stats::LatencyHistogram &h)
+/** A tail quantile of @p h; "-" in text when @p h is empty. */
+Cell
+tailCell(const stats::LatencyHistogram &h, Ticks v)
 {
+    Cell c = Cell::ticks(v);
     if (h.count() == 0)
-        return {"-", "-", "-", "-", "-"};
-    return {formatTicks(h.quantile(0.50)), formatTicks(h.quantile(0.90)),
-            formatTicks(h.quantile(0.99)), formatTicks(h.quantile(0.999)),
-            formatTicks(h.max())};
+        c.text = "-";
+    return c;
+}
+
+/** Wait-state bucket @p i's name. */
+std::string
+bucketName(std::size_t i)
+{
+    return jvm::waitBucketName(static_cast<jvm::WaitBucket>(i));
 }
 
 } // namespace
 
-void
-printBlameTable(std::ostream &os, const jvm::RunResult &r)
+ReportTable
+blameTable(const jvm::RunResult &r)
 {
     const jvm::ProfileSummary &p = r.profile;
-    os << "wait-state blame: " << r.app_name << " @ " << r.threads
-       << " threads / " << r.cores << " cores\n";
-    if (!p.enabled) {
-        os << "  (profiling disabled; run with --profile)\n";
-        return;
-    }
+    std::ostringstream title;
+    title << "wait-state blame: " << r.app_name << " @ " << r.threads
+          << " threads / " << r.cores << " cores\n";
+    if (!p.enabled)
+        title << "  (profiling disabled; run with --profile)\n";
+    ReportTable t(title.str(), {{"", "app", Form::Csv},
+                                {"", "threads", Form::Csv},
+                                {"bucket", "bucket"},
+                                {"total", "total_ns"},
+                                {"share", "share"},
+                                {"", "tasks", Form::Csv},
+                                {"p50", "p50_ns"},
+                                {"p90", "p90_ns"},
+                                {"p99", "p99_ns"},
+                                {"p999", "p999_ns"},
+                                {"max", "max_ns"}});
     const Ticks total = p.total();
     const double denom = total > 0 ? static_cast<double>(total) : 1.0;
-    TextTable t;
-    t.header({"bucket", "total", "share", "p50", "p90", "p99", "p999",
-              "max"});
+    // Empty buckets (and, unprofiled, every row) appear in CSV only,
+    // so the CSV's row set is configuration-independent.
+    const auto add = [&](Cell bucket, Ticks bucket_total,
+                         const stats::LatencyHistogram &h, double share,
+                         bool text) {
+        t.row({Cell::label(r.app_name), Cell::count(r.threads),
+               std::move(bucket), Cell::ticks(bucket_total),
+               Cell::share(share, 6), Cell::count(h.count()),
+               tailCell(h, h.quantile(0.50)), tailCell(h, h.quantile(0.90)),
+               tailCell(h, h.quantile(0.99)),
+               tailCell(h, h.quantile(0.999)), tailCell(h, h.max())},
+              text && p.enabled ? Form::Both : Form::Csv);
+    };
     for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i) {
-        if (p.bucket_total[i] == 0)
-            continue;
-        std::vector<std::string> row = {
-            jvm::waitBucketName(static_cast<jvm::WaitBucket>(i)),
-            formatTicks(p.bucket_total[i]),
-            formatPercent(static_cast<double>(p.bucket_total[i]) / denom)};
-        for (auto &cell : quantileCells(p.bucket_hist[i]))
-            row.push_back(std::move(cell));
-        t.row(std::move(row));
+        add(Cell::label(bucketName(i)), p.bucket_total[i],
+            p.bucket_hist[i],
+            static_cast<double>(p.bucket_total[i]) / denom,
+            p.bucket_total[i] != 0);
     }
-    {
-        std::vector<std::string> row = {"task wall", formatTicks(total),
-                                        formatPercent(total > 0 ? 1.0
-                                                                : 0.0)};
-        for (auto &cell : quantileCells(p.latency))
-            row.push_back(std::move(cell));
-        t.row(std::move(row));
-    }
-    t.print(os);
+    add(Cell{"task wall", "task-wall"}, total, p.latency,
+        total > 0 ? 1.0 : 0.0, true);
+    if (!p.enabled)
+        return t;
+
+    std::ostringstream os;
     os << "  tasks " << p.tasks << " (" << p.tasks_discarded
        << " discarded), dominant wait: "
        << jvm::waitBucketName(p.dominantWait()) << "\n";
-
     if (!p.slowest.empty()) {
         os << "slowest tasks:\n";
         TextTable st;
@@ -815,9 +701,7 @@ printBlameTable(std::ostream &os, const jvm::RunResult &r)
             const Ticks wall = rec.wall();
             st.row({std::to_string(rec.task),
                     std::to_string(rec.thread), formatTicks(wall),
-                    formatTicks(rec.buckets[0]),
-                    jvm::waitBucketName(
-                        static_cast<jvm::WaitBucket>(worst)),
+                    formatTicks(rec.buckets[0]), bucketName(worst),
                     formatPercent(
                         wall > 0 ? static_cast<double>(wall -
                                                        rec.buckets[0]) /
@@ -826,7 +710,6 @@ printBlameTable(std::ostream &os, const jvm::RunResult &r)
         }
         st.print(os);
     }
-
     if (!p.lock_waits.empty()) {
         os << "hottest monitors (by task lock-wait):\n";
         TextTable lt;
@@ -837,147 +720,107 @@ printBlameTable(std::ostream &os, const jvm::RunResult &r)
         }
         lt.print(os);
     }
-}
-
-void
-writeBlameCsv(std::ostream &os, const jvm::RunResult &r)
-{
-    const jvm::ProfileSummary &p = r.profile;
-    const Ticks total = p.total();
-    const double denom = total > 0 ? static_cast<double>(total) : 1.0;
-    os << "app,threads,bucket,total_ns,share,tasks,p50_ns,p90_ns,p99_ns,"
-          "p999_ns,max_ns\n";
-    const auto emit = [&](const char *name, Ticks bucket_total,
-                          const stats::LatencyHistogram &h,
-                          double share) {
-        os << r.app_name << "," << r.threads << "," << name << ","
-           << bucket_total << "," << formatFixed(share, 6) << ","
-           << h.count() << "," << h.quantile(0.50) << ","
-           << h.quantile(0.90) << "," << h.quantile(0.99) << ","
-           << h.quantile(0.999) << "," << h.max() << "\n";
-    };
-    for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i) {
-        emit(jvm::waitBucketName(static_cast<jvm::WaitBucket>(i)),
-             p.bucket_total[i], p.bucket_hist[i],
-             static_cast<double>(p.bucket_total[i]) / denom);
-    }
-    emit("task-wall", total, p.latency, total > 0 ? 1.0 : 0.0);
+    t.footer(os.str());
+    return t;
 }
 
 void
 writeProfileHistogramCsv(std::ostream &os, const jvm::RunResult &r)
 {
     const jvm::ProfileSummary &p = r.profile;
-    os << "app,threads,histogram,bucket_index,lower_edge_ns,count\n";
-    const auto emit = [&](const char *name,
+    CsvWriter csv(os);
+    csv.row({"app", "threads", "histogram", "bucket_index",
+             "lower_edge_ns", "count"});
+    const auto emit = [&](const std::string &name,
                           const stats::LatencyHistogram &h) {
         for (std::size_t i = 0; i < stats::LatencyHistogram::kBuckets;
              ++i) {
             if (h.bucket(i) == 0)
                 continue;
-            os << r.app_name << "," << r.threads << "," << name << ","
-               << i << "," << stats::LatencyHistogram::bucketLowerEdge(i)
-               << "," << h.bucket(i) << "\n";
+            csv.rowOf(r.app_name, r.threads, name, i,
+                      stats::LatencyHistogram::bucketLowerEdge(i),
+                      h.bucket(i));
         }
     };
     emit("task-wall", p.latency);
-    for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i) {
-        emit(jvm::waitBucketName(static_cast<jvm::WaitBucket>(i)),
-             p.bucket_hist[i]);
-    }
+    for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i)
+        emit(bucketName(i), p.bucket_hist[i]);
 }
 
-void
-printTrafficTable(std::ostream &os,
-                  const std::vector<jvm::RunResult> &runs)
+ReportTable
+trafficTable(const std::vector<jvm::RunResult> &runs)
 {
-    os << "open-loop traffic: per-request sojourn = queueing + "
-          "attributed service\n";
-    TextTable t;
-    t.header({"app", "tenant", "threads", "arrivals", "shed", "done",
-              "maxq", "p50", "p99", "p999", "queue p99", "svc p99"});
-    for (const jvm::RunResult &r : runs) {
-        if (!r.traffic.enabled)
-            continue;
-        const jvm::TrafficSummary &s = r.traffic;
-        t.row({r.app_name, std::to_string(s.tenant),
-               std::to_string(r.threads), std::to_string(s.arrivals),
-               std::to_string(s.shed), std::to_string(s.completed),
-               std::to_string(s.max_queue_depth),
-               formatTicks(s.sojourn.quantile(0.50)),
-               formatTicks(s.sojourn.quantile(0.99)),
-               formatTicks(s.sojourn.quantile(0.999)),
-               formatTicks(s.queueing.quantile(0.99)),
-               formatTicks(s.service.quantile(0.99))});
-    }
-    t.print(os);
+    std::vector<Column> columns = {{"app", "app"},
+                                   {"tenant", "tenant"},
+                                   {"threads", "threads"},
+                                   {"", "arrival_spec", Form::Csv},
+                                   {"arrivals", "arrivals"},
+                                   {"", "admitted", Form::Csv},
+                                   {"shed", "shed"},
+                                   {"", "dispatched", Form::Csv},
+                                   {"done", "completed"},
+                                   {"maxq", "max_queue_depth"},
+                                   {"p50", "sojourn_p50_ns"},
+                                   {"p99", "sojourn_p99_ns"},
+                                   {"p999", "sojourn_p999_ns"},
+                                   {"queue p99", "queueing_p99_ns"},
+                                   {"svc p99", "service_p99_ns"}};
+    for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i)
+        columns.push_back({"", "svc_" + bucketName(i) + "_ns", Form::Csv});
+    ReportTable t("open-loop traffic: per-request sojourn = queueing + "
+                  "attributed service\n",
+                  std::move(columns));
 
-    os << "\nservice-time decomposition (share of attributed service)\n";
+    // Text-only detail: each run's service time by wait state, as a
+    // share of its attributed service.
     TextTable d;
     d.header({"app", "tenant", "arrival spec", "cpu", "runq", "ttsp",
               "gc-stw", "lock", "channel", "governor"});
-    const auto share = [](const jvm::TrafficSummary &s,
-                          jvm::WaitBucket b) {
-        const Ticks total = s.serviceBucketTotal();
-        if (total == 0)
-            return std::string("-");
-        const double v =
-            100.0 *
-            static_cast<double>(
-                s.service_bucket_total[static_cast<std::size_t>(b)]) /
-            static_cast<double>(total);
-        std::ostringstream str;
-        str.setf(std::ios::fixed);
-        str.precision(1);
-        str << v << "%";
-        return str.str();
-    };
     for (const jvm::RunResult &r : runs) {
         if (!r.traffic.enabled)
             continue;
         const jvm::TrafficSummary &s = r.traffic;
-        d.row({r.app_name, std::to_string(s.tenant), s.arrival_spec,
-               share(s, jvm::WaitBucket::Cpu),
-               share(s, jvm::WaitBucket::RunQueue),
-               share(s, jvm::WaitBucket::Ttsp),
-               share(s, jvm::WaitBucket::GcStw),
-               share(s, jvm::WaitBucket::Lock),
-               share(s, jvm::WaitBucket::Channel),
-               share(s, jvm::WaitBucket::Governor)});
-    }
-    d.print(os);
-}
-
-void
-writeTrafficCsv(std::ostream &os,
-                const std::vector<jvm::RunResult> &runs)
-{
-    os << "app,tenant,threads,arrival_spec,arrivals,admitted,shed,"
-          "dispatched,completed,max_queue_depth,sojourn_p50_ns,"
-          "sojourn_p99_ns,sojourn_p999_ns,queueing_p99_ns,"
-          "service_p99_ns";
-    for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i) {
-        os << ",svc_"
-           << jvm::waitBucketName(static_cast<jvm::WaitBucket>(i))
-           << "_ns";
-    }
-    os << "\n";
-    for (const jvm::RunResult &r : runs) {
-        if (!r.traffic.enabled)
-            continue;
-        const jvm::TrafficSummary &s = r.traffic;
-        os << r.app_name << "," << s.tenant << "," << r.threads << ","
-           << s.arrival_spec << "," << s.arrivals << "," << s.admitted
-           << "," << s.shed << "," << s.dispatched << "," << s.completed
-           << "," << s.max_queue_depth << ","
-           << s.sojourn.quantile(0.50) << "," << s.sojourn.quantile(0.99)
-           << "," << s.sojourn.quantile(0.999) << ","
-           << s.queueing.quantile(0.99) << ","
-           << s.service.quantile(0.99);
+        std::vector<Cell> row = {
+            Cell::label(r.app_name), Cell::count(s.tenant),
+            Cell::count(r.threads), Cell::label(s.arrival_spec),
+            Cell::count(s.arrivals), Cell::count(s.admitted),
+            Cell::count(s.shed), Cell::count(s.dispatched),
+            Cell::count(s.completed), Cell::count(s.max_queue_depth),
+            Cell::ticks(s.sojourn.quantile(0.50)),
+            Cell::ticks(s.sojourn.quantile(0.99)),
+            Cell::ticks(s.sojourn.quantile(0.999)),
+            Cell::ticks(s.queueing.quantile(0.99)),
+            Cell::ticks(s.service.quantile(0.99))};
         for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i)
-            os << "," << s.service_bucket_total[i];
-        os << "\n";
+            row.push_back(Cell::count(s.service_bucket_total[i]));
+        t.row(std::move(row));
+
+        std::vector<std::string> shares = {
+            r.app_name, std::to_string(s.tenant), s.arrival_spec};
+        const Ticks service = s.serviceBucketTotal();
+        for (const jvm::WaitBucket b :
+             {jvm::WaitBucket::Cpu, jvm::WaitBucket::RunQueue,
+              jvm::WaitBucket::Ttsp, jvm::WaitBucket::GcStw,
+              jvm::WaitBucket::Lock, jvm::WaitBucket::Channel,
+              jvm::WaitBucket::Governor}) {
+            shares.push_back(
+                service == 0
+                    ? "-"
+                    : formatFixed(
+                          100.0 *
+                              static_cast<double>(
+                                  s.service_bucket_total
+                                      [static_cast<std::size_t>(b)]) /
+                              static_cast<double>(service),
+                          1) +
+                          "%");
+        }
+        d.row(std::move(shares));
     }
+    t.footer("\nservice-time decomposition (share of attributed "
+             "service)\n" +
+             d.str());
+    return t;
 }
 
 void

@@ -1,9 +1,9 @@
 /**
  * @file
- * Report writers: render the paper's tables and figures from RunResults,
- * as aligned text (console) and CSV (machine-readable). One function per
- * experiment artifact; the bench binaries are thin wrappers around
- * these.
+ * Report tables: the paper's tables and figures from RunResults, each
+ * defined once as a ReportTable that renders as aligned text (console)
+ * and CSV (machine-readable). One function per experiment artifact; the
+ * bench binaries are thin wrappers around these.
  */
 
 #ifndef JSCALE_CORE_REPORT_HH
@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "base/output.hh"
 #include "control/usl.hh"
 #include "jvm/runtime/vm.hh"
 #include "stats/stats.hh"
@@ -23,59 +24,72 @@ namespace jscale::core {
 /** A sweep per app: app name -> results ordered by ascending threads. */
 using SweepSet = std::map<std::string, std::vector<jvm::RunResult>>;
 
+/** True for a point that ran here: neither shard-skipped nor failed. */
+bool measured(const jvm::RunResult &r);
+
+/** A point's status: "ok", "skipped" or "failed". */
+std::string pointStatus(const jvm::RunResult &r);
+
+/**
+ * Add one study point to @p t. A point with measurements (@p ran) is
+ * one row in both forms. Any other keeps @p cells as its CSV row, under
+ * the study's status column, and is a text row of @p lead followed by
+ * "-".
+ */
+void pointRow(ReportTable &t, bool ran, std::vector<Cell> cells,
+              std::vector<Cell> lead);
+
+/*
+ * The sweep tables below have one row per (app, threads) point. A
+ * skipped or failed point shows "-" for its measurements and its status
+ * in the last text column, and has no CSV row; speedups and ratios are
+ * anchored at the first measured point of the app's sweep.
+ */
+
 /**
  * E1 — execution time, speedup and classification per app and thread
  * count (the Sec. II-C scalable/non-scalable characterization).
  */
-void printScalabilityTable(std::ostream &os, const SweepSet &sweeps);
-void writeScalabilityCsv(std::ostream &os, const SweepSet &sweeps);
+ReportTable scalabilityTable(const SweepSet &sweeps);
 
 /**
  * E2 — workload distribution: effective worker count, top-thread share
  * and task-count CV per app at selected thread counts.
  */
-void printWorkloadDistributionTable(std::ostream &os,
-                                    const SweepSet &sweeps);
-void writeWorkloadDistributionCsv(std::ostream &os, const SweepSet &sweeps);
+ReportTable workloadDistributionTable(const SweepSet &sweeps);
 
 /** E3 — Fig. 1a: lock acquisitions vs. threads per app. */
-void printLockAcquisitionTable(std::ostream &os, const SweepSet &sweeps);
-void writeLockAcquisitionCsv(std::ostream &os, const SweepSet &sweeps);
+ReportTable lockAcquisitionTable(const SweepSet &sweeps);
 
 /** E4 — Fig. 1b: lock contention instances vs. threads per app. */
-void printLockContentionTable(std::ostream &os, const SweepSet &sweeps);
-void writeLockContentionCsv(std::ostream &os, const SweepSet &sweeps);
+ReportTable lockContentionTable(const SweepSet &sweeps);
 
 /**
  * E5/E6 — Fig. 1c/1d: object-lifespan CDF of one app across thread
- * counts: rows are lifespan thresholds, columns thread counts.
+ * counts. The text pivots lifespan thresholds (rows) against thread
+ * counts (columns); the CSV has one row per (point, threshold).
  */
-void printLifespanCdfTable(std::ostream &os, const std::string &app,
-                           const std::vector<jvm::RunResult> &sweep);
-void writeLifespanCdfCsv(std::ostream &os, const std::string &app,
-                         const std::vector<jvm::RunResult> &sweep);
+ReportTable lifespanCdfTable(const std::string &app,
+                             const std::vector<jvm::RunResult> &sweep);
 
 /**
  * E7 — Fig. 2: mutator time vs. GC time per app and thread count (the
  * stacked distribution of the paper).
  */
-void printMutatorGcTable(std::ostream &os, const SweepSet &sweeps);
-void writeMutatorGcCsv(std::ostream &os, const SweepSet &sweeps);
+ReportTable mutatorGcTable(const SweepSet &sweeps);
 
 /**
  * E8 — GC effectiveness detail: nursery survival rate, promoted bytes,
  * minor/full GC counts and mean pauses vs. threads.
  */
-void printGcSurvivalTable(std::ostream &os, const SweepSet &sweeps);
-void writeGcSurvivalCsv(std::ostream &os, const SweepSet &sweeps);
+ReportTable gcSurvivalTable(const SweepSet &sweeps);
 
 /**
  * E14 — the Sec. III-B mechanism: per-mutator suspend wait (time
  * runnable-but-not-running plus time blocked on locks) vs. thread
  * count, next to the lifespan CDF it inflates.
  */
-void printSuspendWaitTable(std::ostream &os, const SweepSet &sweeps);
-void writeSuspendWaitCsv(std::ostream &os, const SweepSet &sweeps);
+ReportTable suspendWaitTable(const SweepSet &sweeps);
 
 /** One app's speedup curve as raw points (e.g. re-read from a CSV). */
 struct UslSeries
@@ -91,14 +105,12 @@ struct UslSeries
  * speedup, and the observed knee of the sweep for comparison. A fitted
  * n* beyond the sweep's largest thread count means the knee was not
  * reached within the measured range — the scalable classification in
- * model form.
+ * model form. Sweeps are fitted over their measured points.
  */
-void printUslTable(std::ostream &os, const SweepSet &sweeps);
-void writeUslCsv(std::ostream &os, const SweepSet &sweeps);
+ReportTable uslTable(const SweepSet &sweeps);
 
 /** Same table over raw speedup series (the `jscale usl` CSV path). */
-void printUslSeriesTable(std::ostream &os,
-                         const std::vector<UslSeries> &series);
+ReportTable uslTable(const std::vector<UslSeries> &series);
 
 /**
  * Governed-vs-ungoverned comparison: wall time and throughput delta per
@@ -117,8 +129,7 @@ void printGovernedComparisonTable(std::ostream &os, const SweepSet &off,
  * breakdowns. The CSV emits every bucket (zero rows included) so the
  * column/row set is configuration-independent.
  */
-void printBlameTable(std::ostream &os, const jvm::RunResult &r);
-void writeBlameCsv(std::ostream &os, const jvm::RunResult &r);
+ReportTable blameTable(const jvm::RunResult &r);
 
 /**
  * Raw log-bucketed histogram dump of a profiled run: one row per
@@ -139,12 +150,10 @@ stats::StatSnapshot runStatSnapshot(const jvm::RunResult &r);
  * Open-loop traffic summary of one or more runs (tenants of one host,
  * or rungs of a ladder): arrival accounting, sojourn / queueing /
  * service tails, and the exact wait-state decomposition of service
- * time. Rows without traffic data (closed-loop runs) are skipped.
+ * time. Rows without traffic data (closed-loop runs, and points that
+ * did not run) are skipped.
  */
-void printTrafficTable(std::ostream &os,
-                       const std::vector<jvm::RunResult> &runs);
-void writeTrafficCsv(std::ostream &os,
-                     const std::vector<jvm::RunResult> &runs);
+ReportTable trafficTable(const std::vector<jvm::RunResult> &runs);
 
 /** Free-form one-run summary (quickstart/example output). */
 void printRunSummary(std::ostream &os, const jvm::RunResult &r);

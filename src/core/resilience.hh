@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "base/output.hh"
 #include "control/governor.hh"
 #include "core/experiment.hh"
 #include "jvm/runtime/vm.hh"
@@ -67,13 +68,11 @@ struct ResiliencePoint
 std::vector<ResiliencePoint>
 runResilienceStudy(const ResilienceConfig &config);
 
-/** Aligned-text study report (throughput, shares, governor target). */
-void printResilienceTable(std::ostream &os,
-                          const std::vector<ResiliencePoint> &points);
-
-/** Machine-readable study report: one row per (point, arm). */
-void writeResilienceCsv(std::ostream &os,
-                        const std::vector<ResiliencePoint> &points);
+/**
+ * The study report: one row per (point, arm) with throughput, shares
+ * and governor target, followed in text by each failed arm's error.
+ */
+ReportTable resilienceTable(const std::vector<ResiliencePoint> &points);
 
 } // namespace jscale::core
 

@@ -13,6 +13,9 @@ namespace {
 
 constexpr const char *kHeader = "jscale-run v1";
 
+/** One wait-state-bucket array of a result. */
+using Buckets = Ticks[jvm::kWaitBucketCount];
+
 std::string
 escape(const std::string &s)
 {
@@ -71,22 +74,37 @@ class Writer
   public:
     explicit Writer(std::ostream &os) : os_(os) {}
 
-    void u(const char *name, std::uint64_t v)
+    void field(const char *name, std::uint64_t v)
     {
         os_ << "u " << name << ' ' << v << '\n';
     }
 
-    void d(const char *name, double v)
+    void field(const char *name, std::uint32_t v)
+    {
+        field(name, static_cast<std::uint64_t>(v));
+    }
+
+    void field(const char *name, bool v)
+    {
+        field(name, static_cast<std::uint64_t>(v ? 1 : 0));
+    }
+
+    void field(const char *name, os::ThreadKind v)
+    {
+        field(name, static_cast<std::uint64_t>(v));
+    }
+
+    void field(const char *name, double v)
     {
         os_ << "d " << name << ' ' << fmtDouble(v) << '\n';
     }
 
-    void s(const char *name, const std::string &v)
+    void field(const char *name, const std::string &v)
     {
         os_ << "s " << name << ' ' << escape(v) << '\n';
     }
 
-    void sample(const char *name, const stats::SampleStats &v)
+    void field(const char *name, const stats::SampleStats &v)
     {
         os_ << "ss " << name << ' ' << v.count() << ' '
             << fmtDouble(v.sum()) << ' ' << fmtDouble(v.welfordMean())
@@ -94,7 +112,7 @@ class Writer
             << ' ' << fmtDouble(v.max()) << '\n';
     }
 
-    void logHist(const char *name, const stats::LogHistogram &h)
+    void field(const char *name, const stats::LogHistogram &h)
     {
         std::size_t nonzero = 0;
         for (std::size_t i = 0; i < stats::LogHistogram::kBuckets; ++i)
@@ -106,7 +124,7 @@ class Writer
         }
     }
 
-    void latHist(const char *name, const stats::LatencyHistogram &h)
+    void field(const char *name, const stats::LatencyHistogram &h)
     {
         std::size_t nonzero = 0;
         for (std::size_t i = 0; i < stats::LatencyHistogram::kBuckets;
@@ -122,7 +140,51 @@ class Writer
         }
     }
 
+    void field(const char *name, const Buckets &b)
+    {
+        os_ << "bk " << name;
+        put(b);
+        os_ << '\n';
+    }
+
+    /** A count of elements whose contents are not recorded. */
+    template <typename T>
+    void count(const char *name, const std::vector<T> &v)
+    {
+        field(name, static_cast<std::uint64_t>(v.size()));
+    }
+
+    /** A count, then @p each on every element. */
+    template <typename T, typename Each>
+    void list(const char *name, const std::vector<T> &v, Each each)
+    {
+        count(name, v);
+        for (const T &e : v)
+            each(e);
+    }
+
+    /** One "<tag> v..." line of space-separated integers. */
+    template <typename... Ts>
+    void row(const char *tag, const Ts &...vs)
+    {
+        os_ << tag;
+        (put(vs), ...);
+        os_ << '\n';
+    }
+
   private:
+    template <typename T>
+    void put(const T &v)
+    {
+        os_ << ' ' << v;
+    }
+
+    void put(const Buckets &b)
+    {
+        for (const Ticks t : b)
+            os_ << ' ' << t;
+    }
+
     std::ostream &os_;
 };
 
@@ -151,24 +213,37 @@ class Reader
         return true;
     }
 
-    std::uint64_t u(const char *name)
+    void field(const char *name, std::uint64_t &v)
     {
-        const std::string rest = tagged("u", name);
-        return parseU64(rest, name);
+        v = parseU64(tagged("u", name), name);
     }
 
-    double d(const char *name)
+    void field(const char *name, std::uint32_t &v)
     {
-        const std::string rest = tagged("d", name);
-        return parseDouble(rest, name);
+        v = static_cast<std::uint32_t>(parseU64(tagged("u", name), name));
     }
 
-    std::string s(const char *name)
+    void field(const char *name, bool &v)
     {
-        return unescape(tagged("s", name));
+        v = parseU64(tagged("u", name), name) != 0;
     }
 
-    stats::SampleStats sample(const char *name)
+    void field(const char *name, os::ThreadKind &v)
+    {
+        v = static_cast<os::ThreadKind>(parseU64(tagged("u", name), name));
+    }
+
+    void field(const char *name, double &v)
+    {
+        v = parseDouble(tagged("d", name), name);
+    }
+
+    void field(const char *name, std::string &v)
+    {
+        v = unescape(tagged("s", name));
+    }
+
+    void field(const char *name, stats::SampleStats &v)
     {
         std::istringstream ss(tagged("ss", name));
         std::uint64_t count = 0;
@@ -176,14 +251,14 @@ class Reader
         if (ok() && !(ss >> count >> sum >> mean >> m2 >> mn >> mx))
             fail(std::string("malformed sample stats '") + name + "'");
         if (!ok())
-            return {};
-        return stats::SampleStats::restore(
+            return;
+        v = stats::SampleStats::restore(
             count, parseDouble(sum, name), parseDouble(mean, name),
             parseDouble(m2, name), parseDouble(mn, name),
             parseDouble(mx, name));
     }
 
-    void logHist(const char *name, stats::LogHistogram &h)
+    void field(const char *name, stats::LogHistogram &h)
     {
         std::istringstream ss(tagged("lh", name));
         std::uint64_t nonzero = 0;
@@ -191,25 +266,19 @@ class Reader
             fail(std::string("malformed histogram header '") + name +
                  "'");
         for (std::uint64_t n = 0; ok() && n < nonzero; ++n) {
-            std::string ln;
-            if (!line(ln))
-                break;
-            std::istringstream bs(ln);
-            std::string tag;
             std::uint64_t i = 0, w = 0;
-            if (!(bs >> tag >> i >> w) || tag != "lb" ||
-                i >= stats::LogHistogram::kBuckets) {
-                fail(std::string("malformed histogram bucket in '") +
+            row("lb", i, w);
+            if (ok() && i >= stats::LogHistogram::kBuckets)
+                fail(std::string("histogram bucket out of range in '") +
                      name + "'");
-                break;
-            }
             // Re-add at the bucket's lower edge: exact reconstruction,
             // since bucketing only keeps the index anyway.
-            h.add(i == 0 ? 0 : (1ULL << (i - 1)), w);
+            if (ok())
+                h.add(i == 0 ? 0 : (1ULL << (i - 1)), w);
         }
     }
 
-    void latHist(const char *name, stats::LatencyHistogram &h)
+    void field(const char *name, stats::LatencyHistogram &h)
     {
         std::istringstream ss(tagged("ah", name));
         std::uint64_t nonzero = 0, count = 0, sum = 0, mn = 0, mx = 0;
@@ -218,18 +287,13 @@ class Reader
                  "'");
         std::uint64_t restored = 0;
         for (std::uint64_t n = 0; ok() && n < nonzero; ++n) {
-            std::string ln;
-            if (!line(ln))
-                break;
-            std::istringstream bs(ln);
-            std::string tag;
             std::uint64_t i = 0, w = 0;
-            if (!(bs >> tag >> i >> w) || tag != "ab" ||
-                i >= stats::LatencyHistogram::kBuckets) {
-                fail(std::string("malformed histogram bucket in '") +
+            row("ab", i, w);
+            if (ok() && i >= stats::LatencyHistogram::kBuckets)
+                fail(std::string("histogram bucket out of range in '") +
                      name + "'");
+            if (!ok())
                 break;
-            }
             h.restoreBucket(static_cast<std::size_t>(i), w);
             restored += w;
         }
@@ -240,6 +304,52 @@ class Reader
             h.restoreAggregates(sum, mn, mx);
     }
 
+    void field(const char *name, Buckets &b)
+    {
+        std::string ln;
+        if (!line(ln))
+            return;
+        std::istringstream ss(ln);
+        std::string tag, got;
+        if (!(ss >> tag >> got) || tag != "bk" || got != name || !get(ss, b))
+            fail(std::string("malformed bucket row '") + name + "'");
+    }
+
+    /** A count of default elements (their contents are not recorded). */
+    template <typename T>
+    void count(const char *name, std::vector<T> &v)
+    {
+        std::uint64_t n = 0;
+        field(name, n);
+        v.resize(static_cast<std::size_t>(n));
+    }
+
+    /** A count, then @p each on every element. */
+    template <typename T, typename Each>
+    void list(const char *name, std::vector<T> &v, Each each)
+    {
+        std::uint64_t n = 0;
+        field(name, n);
+        for (std::uint64_t i = 0; ok() && i < n; ++i) {
+            T e{};
+            each(e);
+            v.push_back(std::move(e));
+        }
+    }
+
+    /** One "<tag> v..." line of space-separated integers. */
+    template <typename... Ts>
+    void row(const char *tag, Ts &...vs)
+    {
+        std::string ln;
+        if (!line(ln))
+            return;
+        std::istringstream ss(ln);
+        std::string got;
+        if (!(ss >> got) || got != tag || !(get(ss, vs) && ...))
+            fail(std::string("malformed '") + tag + "' row");
+    }
+
     void fail(const std::string &msg)
     {
         if (err_.empty())
@@ -247,6 +357,21 @@ class Reader
     }
 
   private:
+    template <typename T>
+    static bool get(std::istream &ss, T &v)
+    {
+        return static_cast<bool>(ss >> v);
+    }
+
+    static bool get(std::istream &ss, Buckets &b)
+    {
+        for (Ticks &t : b) {
+            if (!(ss >> t))
+                return false;
+        }
+        return true;
+    }
+
     /** Expect "<tag> <name> "; return the rest of the line. */
     std::string tagged(const char *tag, const char *name)
     {
@@ -297,36 +422,176 @@ class Reader
     std::string err_;
 };
 
+/**
+ * The record's field list, in record order: walked by Writer over a
+ * const result to emit it and by Reader over a fresh one to parse it.
+ */
+template <typename Io, typename Result>
 void
-writeBuckets(std::ostream &os, const char *name,
-             const Ticks (&buckets)[jvm::kWaitBucketCount])
+visitFields(Io &io, Result &r)
 {
-    os << "bk " << name;
-    for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i)
-        os << ' ' << buckets[i];
-    os << '\n';
-}
+    io.field("app_name", r.app_name);
+    io.field("threads", r.threads);
+    io.field("cores", r.cores);
+    io.field("heap_capacity", r.heap_capacity);
+    io.field("wall_time", r.wall_time);
+    io.field("gc_time", r.gc_time);
 
-bool
-readBuckets(Reader &in, const char *name,
-            Ticks (&buckets)[jvm::kWaitBucketCount])
-{
-    std::string ln;
-    if (!in.line(ln))
-        return false;
-    std::istringstream ss(ln);
-    std::string tag, got;
-    if (!(ss >> tag >> got) || tag != "bk" || got != name) {
-        in.fail(std::string("expected bucket row '") + name + "'");
-        return false;
-    }
-    for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i) {
-        if (!(ss >> buckets[i])) {
-            in.fail(std::string("short bucket row '") + name + "'");
-            return false;
-        }
-    }
-    return true;
+    auto &gc = r.gc;
+    io.field("gc.minor_count", gc.minor_count);
+    io.field("gc.full_count", gc.full_count);
+    io.field("gc.local_count", gc.local_count);
+    io.field("gc.concurrent_cycles", gc.concurrent_cycles);
+    io.field("gc.concurrent_failures", gc.concurrent_failures);
+    io.field("gc.remark_count", gc.remark_count);
+    io.field("gc.local_pause", gc.local_pause);
+    io.field("gc.total_pause", gc.total_pause);
+    io.field("gc.total_ttsp", gc.total_ttsp);
+    io.field("gc.copied_bytes", gc.copied_bytes);
+    io.field("gc.promoted_bytes", gc.promoted_bytes);
+    io.field("gc.reclaimed_bytes", gc.reclaimed_bytes);
+    io.field("gc.minor_pauses", gc.minor_pauses);
+    io.field("gc.full_pauses", gc.full_pauses);
+    io.field("gc.pause_hist", gc.pause_hist);
+    io.field("gc.nursery_survival", gc.nursery_survival);
+    io.field("gc.adaptive.grows", gc.adaptive.grows);
+    io.field("gc.adaptive.shrinks", gc.adaptive.shrinks);
+    io.field("gc.adaptive.final_young_fraction",
+             gc.adaptive.final_young_fraction);
+    io.field("gc.young_resizes", gc.young_resizes);
+    // Only the event count is observable after a run (snapshots and
+    // reports never read individual events), so the count suffices for
+    // byte-identical rendering.
+    io.count("gc.events", gc.events);
+
+    auto &heap = r.heap;
+    io.field("heap.objects_allocated", heap.objects_allocated);
+    io.field("heap.objects_died", heap.objects_died);
+    io.field("heap.bytes_allocated", heap.bytes_allocated);
+    io.field("heap.bytes_died", heap.bytes_died);
+    io.field("heap.peak_live_bytes", heap.peak_live_bytes);
+    io.field("heap.tlab_refills", heap.tlab_refills);
+    io.field("heap.tlab_waste", heap.tlab_waste);
+    io.field("heap.lifespan", heap.lifespan);
+
+    auto &locks = r.locks;
+    io.field("locks.acquisitions", locks.acquisitions);
+    io.field("locks.contentions", locks.contentions);
+    io.field("locks.block_time", locks.block_time);
+    io.field("locks.monitors", locks.monitors);
+    io.field("locks.biased_acquisitions", locks.biased_acquisitions);
+    io.field("locks.thin_acquisitions", locks.thin_acquisitions);
+    io.field("locks.fat_acquisitions", locks.fat_acquisitions);
+    io.field("locks.bias_revocations", locks.bias_revocations);
+    io.field("locks.inflations", locks.inflations);
+    io.field("locks.waits", locks.waits);
+    io.field("locks.notifies", locks.notifies);
+    io.field("locks.handoffs", locks.handoffs);
+    io.field("locks.barged_grants", locks.barged_grants);
+    io.field("locks.waiters_passivated", locks.waiters_passivated);
+    io.field("locks.waiters_reactivated", locks.waiters_reactivated);
+    io.field("locks.coherence_penalty", locks.coherence_penalty);
+    io.field("locks.circulation_sum", locks.circulation_sum);
+    io.field("locks.block_hist", locks.block_hist);
+
+    io.list("threads.count", r.thread_summaries, [&io](auto &t) {
+        io.field("t.name", t.name);
+        io.field("t.kind", t.kind);
+        io.field("t.cpu_time", t.cpu_time);
+        io.field("t.ready_time", t.ready_time);
+        io.field("t.blocked_time", t.blocked_time);
+        io.field("t.sleep_time", t.sleep_time);
+        io.field("t.dispatches", t.dispatches);
+        io.field("t.migrations", t.migrations);
+        io.field("t.tasks_completed", t.tasks_completed);
+        io.field("t.allocations", t.allocations);
+        io.field("t.bytes_allocated", t.bytes_allocated);
+    });
+
+    auto &sc = r.sched;
+    io.field("sched.dispatches", sc.dispatches);
+    io.field("sched.context_switches", sc.context_switches);
+    io.field("sched.migrations", sc.migrations);
+    io.field("sched.steals", sc.steals);
+    io.field("sched.preemptions", sc.preemptions);
+    io.field("sched.admission_parks", sc.admission_parks);
+    io.field("sched.admission_unparks", sc.admission_unparks);
+    io.field("sched.core_offlines", sc.core_offlines);
+    io.field("sched.core_onlines", sc.core_onlines);
+    io.field("sched.displaced_threads", sc.displaced_threads);
+    io.field("sched.forced_preemptions", sc.forced_preemptions);
+    io.field("sched.forced_stalls", sc.forced_stalls);
+    io.field("sched.busy_ticks", sc.busy_ticks);
+    io.field("sched.overhead_ticks", sc.overhead_ticks);
+
+    auto &gov = r.governor;
+    io.field("gov.enabled", gov.enabled);
+    io.field("gov.policy", gov.policy);
+    io.field("gov.final_target", gov.final_target);
+    io.field("gov.min_target", gov.min_target);
+    io.field("gov.max_target", gov.max_target);
+    io.field("gov.decisions", gov.decisions);
+    io.field("gov.parks", gov.parks);
+    io.field("gov.unparks", gov.unparks);
+    io.field("gov.usl_sigma", gov.usl_sigma);
+    io.field("gov.usl_kappa", gov.usl_kappa);
+    io.field("gov.usl_nstar", gov.usl_nstar);
+
+    auto &f = r.faults;
+    io.field("faults.injections", f.injections);
+    io.field("faults.recoveries", f.recoveries);
+    io.field("faults.cores_offlined", f.cores_offlined);
+    io.field("faults.cores_onlined", f.cores_onlined);
+    io.field("faults.slowdowns", f.slowdowns);
+    io.field("faults.preempt_bursts", f.preempt_bursts);
+    io.field("faults.lock_holders_preempted", f.lock_holders_preempted);
+    io.field("faults.mutators_killed", f.mutators_killed);
+    io.field("faults.mutators_stalled", f.mutators_stalled);
+    io.field("faults.heap_spikes", f.heap_spikes);
+    io.field("faults.gc_worker_losses", f.gc_worker_losses);
+    io.field("faults.tasks_reassigned", f.tasks_reassigned);
+
+    auto &p = r.profile;
+    io.field("profile.enabled", p.enabled);
+    io.field("profile.tasks", p.tasks);
+    io.field("profile.tasks_discarded", p.tasks_discarded);
+    io.field("profile.bucket_total", p.bucket_total);
+    io.field("profile.latency", p.latency);
+    for (auto &h : p.bucket_hist)
+        io.field("profile.bucket_hist", h);
+    io.list("profile.slowest", p.slowest, [&io](auto &slow) {
+        io.row("sl", slow.task, slow.thread, slow.start, slow.end,
+               slow.buckets);
+    });
+    io.list("profile.lock_waits", p.lock_waits, [&io](auto &mw) {
+        io.row("mw", mw.monitor, mw.wait, mw.blocks);
+    });
+
+    auto &tr = r.traffic;
+    io.field("traffic.enabled", tr.enabled);
+    io.field("traffic.tenant", tr.tenant);
+    io.field("traffic.arrival_spec", tr.arrival_spec);
+    io.field("traffic.arrivals", tr.arrivals);
+    io.field("traffic.admitted", tr.admitted);
+    io.field("traffic.shed", tr.shed);
+    io.field("traffic.dispatched", tr.dispatched);
+    io.field("traffic.completed", tr.completed);
+    io.field("traffic.max_queue_depth", tr.max_queue_depth);
+    io.field("traffic.sojourn", tr.sojourn);
+    io.field("traffic.queueing", tr.queueing);
+    io.field("traffic.service", tr.service);
+    io.field("traffic.service_bucket_total", tr.service_bucket_total);
+
+    io.field("total_tasks", r.total_tasks);
+    io.field("sim_events", r.sim_events);
+    io.field("timeline_file", r.timeline_file);
+    io.field("metrics_file", r.metrics_file);
+    io.field("timeline_events", r.timeline_events);
+    io.field("metric_rows", r.metric_rows);
+    io.list("artifact_errors", r.artifact_errors,
+            [&io](auto &e) { io.field("ae", e); });
+    io.field("run_error", r.run_error);
+    io.field("skipped", r.skipped);
 }
 
 } // namespace
@@ -338,179 +603,8 @@ writeRunRecord(std::ostream &os, const std::string &key,
     os << kHeader << '\n';
     os << "key " << escape(key) << '\n';
     os << "fp " << escape(fingerprint) << '\n';
-
     Writer w(os);
-    w.s("app_name", r.app_name);
-    w.u("threads", r.threads);
-    w.u("cores", r.cores);
-    w.u("heap_capacity", r.heap_capacity);
-    w.u("wall_time", r.wall_time);
-    w.u("gc_time", r.gc_time);
-
-    const jvm::GcRunStats &gc = r.gc;
-    w.u("gc.minor_count", gc.minor_count);
-    w.u("gc.full_count", gc.full_count);
-    w.u("gc.local_count", gc.local_count);
-    w.u("gc.concurrent_cycles", gc.concurrent_cycles);
-    w.u("gc.concurrent_failures", gc.concurrent_failures);
-    w.u("gc.remark_count", gc.remark_count);
-    w.u("gc.local_pause", gc.local_pause);
-    w.u("gc.total_pause", gc.total_pause);
-    w.u("gc.total_ttsp", gc.total_ttsp);
-    w.u("gc.copied_bytes", gc.copied_bytes);
-    w.u("gc.promoted_bytes", gc.promoted_bytes);
-    w.u("gc.reclaimed_bytes", gc.reclaimed_bytes);
-    w.sample("gc.minor_pauses", gc.minor_pauses);
-    w.sample("gc.full_pauses", gc.full_pauses);
-    w.logHist("gc.pause_hist", gc.pause_hist);
-    w.sample("gc.nursery_survival", gc.nursery_survival);
-    w.u("gc.adaptive.grows", gc.adaptive.grows);
-    w.u("gc.adaptive.shrinks", gc.adaptive.shrinks);
-    w.d("gc.adaptive.final_young_fraction",
-        gc.adaptive.final_young_fraction);
-    w.u("gc.young_resizes", gc.young_resizes);
-    // Only the event count is observable after a run (snapshots and
-    // reports never read individual events), so the count suffices for
-    // byte-identical rendering.
-    w.u("gc.events", gc.events.size());
-
-    const jvm::HeapStats &heap = r.heap;
-    w.u("heap.objects_allocated", heap.objects_allocated);
-    w.u("heap.objects_died", heap.objects_died);
-    w.u("heap.bytes_allocated", heap.bytes_allocated);
-    w.u("heap.bytes_died", heap.bytes_died);
-    w.u("heap.peak_live_bytes", heap.peak_live_bytes);
-    w.u("heap.tlab_refills", heap.tlab_refills);
-    w.u("heap.tlab_waste", heap.tlab_waste);
-    w.logHist("heap.lifespan", heap.lifespan);
-
-    const jvm::LockTotals &locks = r.locks;
-    w.u("locks.acquisitions", locks.acquisitions);
-    w.u("locks.contentions", locks.contentions);
-    w.u("locks.block_time", locks.block_time);
-    w.u("locks.monitors", locks.monitors);
-    w.u("locks.biased_acquisitions", locks.biased_acquisitions);
-    w.u("locks.thin_acquisitions", locks.thin_acquisitions);
-    w.u("locks.fat_acquisitions", locks.fat_acquisitions);
-    w.u("locks.bias_revocations", locks.bias_revocations);
-    w.u("locks.inflations", locks.inflations);
-    w.u("locks.waits", locks.waits);
-    w.u("locks.notifies", locks.notifies);
-    w.u("locks.handoffs", locks.handoffs);
-    w.u("locks.barged_grants", locks.barged_grants);
-    w.u("locks.waiters_passivated", locks.waiters_passivated);
-    w.u("locks.waiters_reactivated", locks.waiters_reactivated);
-    w.u("locks.coherence_penalty", locks.coherence_penalty);
-    w.u("locks.circulation_sum", locks.circulation_sum);
-    w.latHist("locks.block_hist", locks.block_hist);
-
-    w.u("threads.count", r.thread_summaries.size());
-    for (const jvm::ThreadSummary &t : r.thread_summaries) {
-        w.s("t.name", t.name);
-        w.u("t.kind", static_cast<std::uint64_t>(t.kind));
-        w.u("t.cpu_time", t.cpu_time);
-        w.u("t.ready_time", t.ready_time);
-        w.u("t.blocked_time", t.blocked_time);
-        w.u("t.sleep_time", t.sleep_time);
-        w.u("t.dispatches", t.dispatches);
-        w.u("t.migrations", t.migrations);
-        w.u("t.tasks_completed", t.tasks_completed);
-        w.u("t.allocations", t.allocations);
-        w.u("t.bytes_allocated", t.bytes_allocated);
-    }
-
-    const os::SchedulerStats &sc = r.sched;
-    w.u("sched.dispatches", sc.dispatches);
-    w.u("sched.context_switches", sc.context_switches);
-    w.u("sched.migrations", sc.migrations);
-    w.u("sched.steals", sc.steals);
-    w.u("sched.preemptions", sc.preemptions);
-    w.u("sched.admission_parks", sc.admission_parks);
-    w.u("sched.admission_unparks", sc.admission_unparks);
-    w.u("sched.core_offlines", sc.core_offlines);
-    w.u("sched.core_onlines", sc.core_onlines);
-    w.u("sched.displaced_threads", sc.displaced_threads);
-    w.u("sched.forced_preemptions", sc.forced_preemptions);
-    w.u("sched.forced_stalls", sc.forced_stalls);
-    w.u("sched.busy_ticks", sc.busy_ticks);
-    w.u("sched.overhead_ticks", sc.overhead_ticks);
-
-    const jvm::GovernorSummary &gov = r.governor;
-    w.u("gov.enabled", gov.enabled ? 1 : 0);
-    w.s("gov.policy", gov.policy);
-    w.u("gov.final_target", gov.final_target);
-    w.u("gov.min_target", gov.min_target);
-    w.u("gov.max_target", gov.max_target);
-    w.u("gov.decisions", gov.decisions);
-    w.u("gov.parks", gov.parks);
-    w.u("gov.unparks", gov.unparks);
-    w.d("gov.usl_sigma", gov.usl_sigma);
-    w.d("gov.usl_kappa", gov.usl_kappa);
-    w.d("gov.usl_nstar", gov.usl_nstar);
-
-    const jvm::FaultSummary &f = r.faults;
-    w.u("faults.injections", f.injections);
-    w.u("faults.recoveries", f.recoveries);
-    w.u("faults.cores_offlined", f.cores_offlined);
-    w.u("faults.cores_onlined", f.cores_onlined);
-    w.u("faults.slowdowns", f.slowdowns);
-    w.u("faults.preempt_bursts", f.preempt_bursts);
-    w.u("faults.lock_holders_preempted", f.lock_holders_preempted);
-    w.u("faults.mutators_killed", f.mutators_killed);
-    w.u("faults.mutators_stalled", f.mutators_stalled);
-    w.u("faults.heap_spikes", f.heap_spikes);
-    w.u("faults.gc_worker_losses", f.gc_worker_losses);
-    w.u("faults.tasks_reassigned", f.tasks_reassigned);
-
-    const jvm::ProfileSummary &p = r.profile;
-    w.u("profile.enabled", p.enabled ? 1 : 0);
-    w.u("profile.tasks", p.tasks);
-    w.u("profile.tasks_discarded", p.tasks_discarded);
-    writeBuckets(os, "profile.bucket_total", p.bucket_total);
-    w.latHist("profile.latency", p.latency);
-    for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i)
-        w.latHist("profile.bucket_hist", p.bucket_hist[i]);
-    w.u("profile.slowest", p.slowest.size());
-    for (const jvm::SlowTaskRecord &slow : p.slowest) {
-        os << "sl " << slow.task << ' ' << slow.thread << ' '
-           << slow.start << ' ' << slow.end;
-        for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i)
-            os << ' ' << slow.buckets[i];
-        os << '\n';
-    }
-    w.u("profile.lock_waits", p.lock_waits.size());
-    for (const jvm::MonitorWaitTotal &mw : p.lock_waits) {
-        os << "mw " << mw.monitor << ' ' << mw.wait << ' ' << mw.blocks
-           << '\n';
-    }
-
-    const jvm::TrafficSummary &tr = r.traffic;
-    w.u("traffic.enabled", tr.enabled ? 1 : 0);
-    w.u("traffic.tenant", tr.tenant);
-    w.s("traffic.arrival_spec", tr.arrival_spec);
-    w.u("traffic.arrivals", tr.arrivals);
-    w.u("traffic.admitted", tr.admitted);
-    w.u("traffic.shed", tr.shed);
-    w.u("traffic.dispatched", tr.dispatched);
-    w.u("traffic.completed", tr.completed);
-    w.u("traffic.max_queue_depth", tr.max_queue_depth);
-    w.latHist("traffic.sojourn", tr.sojourn);
-    w.latHist("traffic.queueing", tr.queueing);
-    w.latHist("traffic.service", tr.service);
-    writeBuckets(os, "traffic.service_bucket_total",
-                 tr.service_bucket_total);
-
-    w.u("total_tasks", r.total_tasks);
-    w.u("sim_events", r.sim_events);
-    w.s("timeline_file", r.timeline_file);
-    w.s("metrics_file", r.metrics_file);
-    w.u("timeline_events", r.timeline_events);
-    w.u("metric_rows", r.metric_rows);
-    w.u("artifact_errors", r.artifact_errors.size());
-    for (const std::string &e : r.artifact_errors)
-        w.s("ae", e);
-    w.s("run_error", r.run_error);
-    w.u("skipped", r.skipped ? 1 : 0);
+    visitFields(w, r);
     os << "end\n";
 }
 
@@ -543,204 +637,7 @@ readRunRecord(std::istream &is, const std::string &expect_key,
     }
 
     jvm::RunResult r;
-    r.app_name = in.s("app_name");
-    r.threads = static_cast<std::uint32_t>(in.u("threads"));
-    r.cores = static_cast<std::uint32_t>(in.u("cores"));
-    r.heap_capacity = in.u("heap_capacity");
-    r.wall_time = in.u("wall_time");
-    r.gc_time = in.u("gc_time");
-
-    jvm::GcRunStats &gc = r.gc;
-    gc.minor_count = in.u("gc.minor_count");
-    gc.full_count = in.u("gc.full_count");
-    gc.local_count = in.u("gc.local_count");
-    gc.concurrent_cycles = in.u("gc.concurrent_cycles");
-    gc.concurrent_failures = in.u("gc.concurrent_failures");
-    gc.remark_count = in.u("gc.remark_count");
-    gc.local_pause = in.u("gc.local_pause");
-    gc.total_pause = in.u("gc.total_pause");
-    gc.total_ttsp = in.u("gc.total_ttsp");
-    gc.copied_bytes = in.u("gc.copied_bytes");
-    gc.promoted_bytes = in.u("gc.promoted_bytes");
-    gc.reclaimed_bytes = in.u("gc.reclaimed_bytes");
-    gc.minor_pauses = in.sample("gc.minor_pauses");
-    gc.full_pauses = in.sample("gc.full_pauses");
-    in.logHist("gc.pause_hist", gc.pause_hist);
-    gc.nursery_survival = in.sample("gc.nursery_survival");
-    gc.adaptive.grows = in.u("gc.adaptive.grows");
-    gc.adaptive.shrinks = in.u("gc.adaptive.shrinks");
-    gc.adaptive.final_young_fraction =
-        in.d("gc.adaptive.final_young_fraction");
-    gc.young_resizes = in.u("gc.young_resizes");
-    gc.events.resize(static_cast<std::size_t>(in.u("gc.events")));
-
-    jvm::HeapStats &heap = r.heap;
-    heap.objects_allocated = in.u("heap.objects_allocated");
-    heap.objects_died = in.u("heap.objects_died");
-    heap.bytes_allocated = in.u("heap.bytes_allocated");
-    heap.bytes_died = in.u("heap.bytes_died");
-    heap.peak_live_bytes = in.u("heap.peak_live_bytes");
-    heap.tlab_refills = in.u("heap.tlab_refills");
-    heap.tlab_waste = in.u("heap.tlab_waste");
-    in.logHist("heap.lifespan", heap.lifespan);
-
-    jvm::LockTotals &locks = r.locks;
-    locks.acquisitions = in.u("locks.acquisitions");
-    locks.contentions = in.u("locks.contentions");
-    locks.block_time = in.u("locks.block_time");
-    locks.monitors = in.u("locks.monitors");
-    locks.biased_acquisitions = in.u("locks.biased_acquisitions");
-    locks.thin_acquisitions = in.u("locks.thin_acquisitions");
-    locks.fat_acquisitions = in.u("locks.fat_acquisitions");
-    locks.bias_revocations = in.u("locks.bias_revocations");
-    locks.inflations = in.u("locks.inflations");
-    locks.waits = in.u("locks.waits");
-    locks.notifies = in.u("locks.notifies");
-    locks.handoffs = in.u("locks.handoffs");
-    locks.barged_grants = in.u("locks.barged_grants");
-    locks.waiters_passivated = in.u("locks.waiters_passivated");
-    locks.waiters_reactivated = in.u("locks.waiters_reactivated");
-    locks.coherence_penalty = in.u("locks.coherence_penalty");
-    locks.circulation_sum = in.u("locks.circulation_sum");
-    in.latHist("locks.block_hist", locks.block_hist);
-
-    const std::uint64_t n_threads = in.u("threads.count");
-    for (std::uint64_t i = 0; in.ok() && i < n_threads; ++i) {
-        jvm::ThreadSummary t;
-        t.name = in.s("t.name");
-        t.kind = static_cast<os::ThreadKind>(in.u("t.kind"));
-        t.cpu_time = in.u("t.cpu_time");
-        t.ready_time = in.u("t.ready_time");
-        t.blocked_time = in.u("t.blocked_time");
-        t.sleep_time = in.u("t.sleep_time");
-        t.dispatches = in.u("t.dispatches");
-        t.migrations = in.u("t.migrations");
-        t.tasks_completed = in.u("t.tasks_completed");
-        t.allocations = in.u("t.allocations");
-        t.bytes_allocated = in.u("t.bytes_allocated");
-        r.thread_summaries.push_back(std::move(t));
-    }
-
-    os::SchedulerStats &sc = r.sched;
-    sc.dispatches = in.u("sched.dispatches");
-    sc.context_switches = in.u("sched.context_switches");
-    sc.migrations = in.u("sched.migrations");
-    sc.steals = in.u("sched.steals");
-    sc.preemptions = in.u("sched.preemptions");
-    sc.admission_parks = in.u("sched.admission_parks");
-    sc.admission_unparks = in.u("sched.admission_unparks");
-    sc.core_offlines = in.u("sched.core_offlines");
-    sc.core_onlines = in.u("sched.core_onlines");
-    sc.displaced_threads = in.u("sched.displaced_threads");
-    sc.forced_preemptions = in.u("sched.forced_preemptions");
-    sc.forced_stalls = in.u("sched.forced_stalls");
-    sc.busy_ticks = in.u("sched.busy_ticks");
-    sc.overhead_ticks = in.u("sched.overhead_ticks");
-
-    jvm::GovernorSummary &gov = r.governor;
-    gov.enabled = in.u("gov.enabled") != 0;
-    gov.policy = in.s("gov.policy");
-    gov.final_target = static_cast<std::uint32_t>(in.u("gov.final_target"));
-    gov.min_target = static_cast<std::uint32_t>(in.u("gov.min_target"));
-    gov.max_target = static_cast<std::uint32_t>(in.u("gov.max_target"));
-    gov.decisions = in.u("gov.decisions");
-    gov.parks = in.u("gov.parks");
-    gov.unparks = in.u("gov.unparks");
-    gov.usl_sigma = in.d("gov.usl_sigma");
-    gov.usl_kappa = in.d("gov.usl_kappa");
-    gov.usl_nstar = in.d("gov.usl_nstar");
-
-    jvm::FaultSummary &f = r.faults;
-    f.injections = in.u("faults.injections");
-    f.recoveries = in.u("faults.recoveries");
-    f.cores_offlined = in.u("faults.cores_offlined");
-    f.cores_onlined = in.u("faults.cores_onlined");
-    f.slowdowns = in.u("faults.slowdowns");
-    f.preempt_bursts = in.u("faults.preempt_bursts");
-    f.lock_holders_preempted = in.u("faults.lock_holders_preempted");
-    f.mutators_killed = in.u("faults.mutators_killed");
-    f.mutators_stalled = in.u("faults.mutators_stalled");
-    f.heap_spikes = in.u("faults.heap_spikes");
-    f.gc_worker_losses = in.u("faults.gc_worker_losses");
-    f.tasks_reassigned = in.u("faults.tasks_reassigned");
-
-    jvm::ProfileSummary &p = r.profile;
-    p.enabled = in.u("profile.enabled") != 0;
-    p.tasks = in.u("profile.tasks");
-    p.tasks_discarded = in.u("profile.tasks_discarded");
-    readBuckets(in, "profile.bucket_total", p.bucket_total);
-    in.latHist("profile.latency", p.latency);
-    for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i)
-        in.latHist("profile.bucket_hist", p.bucket_hist[i]);
-    const std::uint64_t n_slow = in.u("profile.slowest");
-    for (std::uint64_t i = 0; in.ok() && i < n_slow; ++i) {
-        if (!in.line(ln))
-            break;
-        std::istringstream ss(ln);
-        std::string tag;
-        jvm::SlowTaskRecord slow;
-        if (!(ss >> tag >> slow.task >> slow.thread >> slow.start >>
-              slow.end) ||
-            tag != "sl") {
-            in.fail("malformed slow-task row");
-            break;
-        }
-        bool short_row = false;
-        for (std::size_t b = 0; b < jvm::kWaitBucketCount; ++b) {
-            if (!(ss >> slow.buckets[b])) {
-                short_row = true;
-                break;
-            }
-        }
-        if (short_row) {
-            in.fail("short slow-task row");
-            break;
-        }
-        p.slowest.push_back(slow);
-    }
-    const std::uint64_t n_mw = in.u("profile.lock_waits");
-    for (std::uint64_t i = 0; in.ok() && i < n_mw; ++i) {
-        if (!in.line(ln))
-            break;
-        std::istringstream ss(ln);
-        std::string tag;
-        jvm::MonitorWaitTotal mw;
-        if (!(ss >> tag >> mw.monitor >> mw.wait >> mw.blocks) ||
-            tag != "mw") {
-            in.fail("malformed monitor-wait row");
-            break;
-        }
-        p.lock_waits.push_back(mw);
-    }
-
-    jvm::TrafficSummary &tr = r.traffic;
-    tr.enabled = in.u("traffic.enabled") != 0;
-    tr.tenant = static_cast<std::uint32_t>(in.u("traffic.tenant"));
-    tr.arrival_spec = in.s("traffic.arrival_spec");
-    tr.arrivals = in.u("traffic.arrivals");
-    tr.admitted = in.u("traffic.admitted");
-    tr.shed = in.u("traffic.shed");
-    tr.dispatched = in.u("traffic.dispatched");
-    tr.completed = in.u("traffic.completed");
-    tr.max_queue_depth = in.u("traffic.max_queue_depth");
-    in.latHist("traffic.sojourn", tr.sojourn);
-    in.latHist("traffic.queueing", tr.queueing);
-    in.latHist("traffic.service", tr.service);
-    readBuckets(in, "traffic.service_bucket_total",
-                tr.service_bucket_total);
-
-    r.total_tasks = in.u("total_tasks");
-    r.sim_events = in.u("sim_events");
-    r.timeline_file = in.s("timeline_file");
-    r.metrics_file = in.s("metrics_file");
-    r.timeline_events = in.u("timeline_events");
-    r.metric_rows = in.u("metric_rows");
-    const std::uint64_t n_ae = in.u("artifact_errors");
-    for (std::uint64_t i = 0; in.ok() && i < n_ae; ++i)
-        r.artifact_errors.push_back(in.s("ae"));
-    r.run_error = in.s("run_error");
-    r.skipped = in.u("skipped") != 0;
-
+    visitFields(in, r);
     if (in.ok() && (!in.line(ln) || ln != "end"))
         in.fail("record missing 'end' trailer (torn write?)");
     if (!in.ok()) {

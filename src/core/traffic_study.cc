@@ -8,6 +8,7 @@
 #include "base/logging.hh"
 #include "base/output.hh"
 #include "control/governor.hh"
+#include "core/report.hh"
 
 namespace jscale::core {
 
@@ -50,14 +51,6 @@ Ticks
 p99(const jvm::RunResult &r)
 {
     return r.traffic.sojourn.quantile(0.99);
-}
-
-std::string
-pointStatus(const jvm::RunResult &r)
-{
-    if (r.failed())
-        return "failed";
-    return "ok";
 }
 
 /** Dominant service bucket of one traffic summary. */
@@ -209,47 +202,79 @@ runTrafficStudy(const TrafficStudyConfig &config)
     return study;
 }
 
-void
-printTrafficStudyTable(std::ostream &os, const TrafficStudy &study)
+ReportTable
+trafficStudyTable(const TrafficStudy &study)
 {
-    os << "E21 — open-system tail latency vs. offered load\n\n";
-
-    os << "closed-loop capacity (the ladder's 1.0x rung)\n";
+    std::ostringstream title;
+    title << "E21 — open-system tail latency vs. offered load\n\n"
+          << "closed-loop capacity (the ladder's 1.0x rung)\n";
     TextTable cap;
     cap.header({"app", "threads", "capacity req/s"});
     for (const TrafficCapacity &c : study.capacities) {
         cap.row({c.app, std::to_string(c.threads),
                  c.rate > 0.0 ? formatRate(c.rate) : "-"});
     }
-    cap.print(os);
+    cap.print(title);
+    title << "\nper-request sojourn tails by offered load\n";
 
-    os << "\nper-request sojourn tails by offered load\n";
-    TextTable t;
-    t.header({"app", "threads", "arm", "load", "req/s", "status",
-              "shed", "p50", "p99", "p999", "queue p99", "svc p99",
-              "svc dominant"});
+    std::vector<Column> columns = {{"app", "app"},
+                                   {"threads", "threads"},
+                                   {"arm", "arm"},
+                                   {"load", "load_factor"},
+                                   {"req/s", "offered_rate"},
+                                   {"status", "", Form::Text},
+                                   {"", "arrivals", Form::Csv},
+                                   {"", "admitted", Form::Csv},
+                                   {"shed", "shed"},
+                                   {"", "completed", Form::Csv},
+                                   {"", "max_queue_depth", Form::Csv},
+                                   {"p50", "sojourn_p50_ns"},
+                                   {"p99", "sojourn_p99_ns"},
+                                   {"p999", "sojourn_p999_ns"},
+                                   {"queue p99", "queueing_p99_ns"},
+                                   {"svc p99", "service_p99_ns"},
+                                   {"svc dominant", "", Form::Text}};
+    for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i) {
+        columns.push_back(
+            {"",
+             std::string("svc_") +
+                 jvm::waitBucketName(static_cast<jvm::WaitBucket>(i)) +
+                 "_ns",
+             Form::Csv});
+    }
+    ReportTable t(title.str(), std::move(columns));
     for (const TrafficPoint &p : study.points) {
         const jvm::RunResult &r = p.run;
-        if (r.failed() || !r.traffic.enabled) {
-            t.row({p.app, std::to_string(p.threads), p.arm,
-                   formatRate(p.load_factor), formatRate(p.offered_rate),
-                   pointStatus(r), "-", "-", "-", "-", "-", "-", "-"});
+        std::vector<Cell> lead = {
+            Cell::label(p.app), Cell::count(p.threads), Cell::label(p.arm),
+            Cell::fixed(p.load_factor, 2, 2),
+            Cell::fixed(p.offered_rate, 2, 2), Cell::label(pointStatus(r))};
+        // The CSV has no status column, so a point that did not run
+        // has no CSV row.
+        if (!measured(r) || !r.traffic.enabled) {
+            t.missingRow(std::move(lead));
             continue;
         }
         const jvm::TrafficSummary &s = r.traffic;
-        t.row({p.app, std::to_string(p.threads), p.arm,
-               formatRate(p.load_factor), formatRate(p.offered_rate),
-               pointStatus(r), std::to_string(s.shed),
-               formatTicks(s.sojourn.quantile(0.50)),
-               formatTicks(s.sojourn.quantile(0.99)),
-               formatTicks(s.sojourn.quantile(0.999)),
-               formatTicks(s.queueing.quantile(0.99)),
-               formatTicks(s.service.quantile(0.99)),
-               dominantServiceBucket(s)});
+        std::vector<Cell> cells = lead;
+        cells.insert(cells.end(),
+                     {Cell::count(s.arrivals), Cell::count(s.admitted),
+                      Cell::count(s.shed), Cell::count(s.completed),
+                      Cell::count(s.max_queue_depth),
+                      Cell::ticks(s.sojourn.quantile(0.50)),
+                      Cell::ticks(s.sojourn.quantile(0.99)),
+                      Cell::ticks(s.sojourn.quantile(0.999)),
+                      Cell::ticks(s.queueing.quantile(0.99)),
+                      Cell::ticks(s.service.quantile(0.99)),
+                      Cell::label(dominantServiceBucket(s))});
+        for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i)
+            cells.push_back(Cell::count(s.service_bucket_total[i]));
+        t.row(std::move(cells));
     }
-    t.print(os);
 
-    os << "\noffered-load knee (p99 growth >= ratio across one rung)\n";
+    std::ostringstream footer;
+    footer << "\noffered-load knee (p99 growth >= ratio across one "
+              "rung)\n";
     TextTable k;
     k.header({"app", "threads", "knee load", "p99 below", "p99 at knee",
               "growth"});
@@ -259,47 +284,17 @@ printTrafficStudyTable(std::ostream &os, const TrafficStudy &study)
                    "-"});
             continue;
         }
-        std::ostringstream growth;
-        growth << std::fixed << std::setprecision(1)
-               << (kn.p99_below > 0
-                       ? static_cast<double>(kn.p99_at_knee) /
-                             static_cast<double>(kn.p99_below)
-                       : 0.0)
-               << "x";
+        const double growth =
+            kn.p99_below > 0 ? static_cast<double>(kn.p99_at_knee) /
+                                   static_cast<double>(kn.p99_below)
+                             : 0.0;
         k.row({kn.app, std::to_string(kn.threads),
                formatRate(kn.knee_factor), formatTicks(kn.p99_below),
-               formatTicks(kn.p99_at_knee), growth.str()});
+               formatTicks(kn.p99_at_knee), formatFixed(growth, 1) + "x"});
     }
-    k.print(os);
-}
-
-void
-writeTrafficStudyCsv(std::ostream &os, const TrafficStudy &study)
-{
-    os << "app,threads,arm,load_factor,offered_rate,arrivals,admitted,"
-          "shed,completed,max_queue_depth,sojourn_p50_ns,sojourn_p99_ns,"
-          "sojourn_p999_ns,queueing_p99_ns,service_p99_ns";
-    for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i) {
-        os << ",svc_"
-           << jvm::waitBucketName(static_cast<jvm::WaitBucket>(i))
-           << "_ns";
-    }
-    os << "\n";
-    for (const TrafficPoint &p : study.points) {
-        const jvm::TrafficSummary &s = p.run.traffic;
-        os << p.app << "," << p.threads << "," << p.arm << ","
-           << formatRate(p.load_factor) << ","
-           << formatRate(p.offered_rate) << "," << s.arrivals << ","
-           << s.admitted << "," << s.shed << "," << s.completed << ","
-           << s.max_queue_depth << "," << s.sojourn.quantile(0.50) << ","
-           << s.sojourn.quantile(0.99) << ","
-           << s.sojourn.quantile(0.999) << ","
-           << s.queueing.quantile(0.99) << ","
-           << s.service.quantile(0.99);
-        for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i)
-            os << "," << s.service_bucket_total[i];
-        os << "\n";
-    }
+    k.print(footer);
+    t.footer(footer.str());
+    return t;
 }
 
 } // namespace jscale::core

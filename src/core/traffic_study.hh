@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "base/output.hh"
 #include "core/experiment.hh"
 #include "jvm/runtime/vm.hh"
 
@@ -111,11 +112,11 @@ struct TrafficStudy
 /** Run the study (sequential; every run is seeded independently). */
 TrafficStudy runTrafficStudy(const TrafficStudyConfig &config);
 
-/** Aligned-text report: capacities, the ladder and the knees. */
-void printTrafficStudyTable(std::ostream &os, const TrafficStudy &study);
-
-/** Machine-readable report: one row per open-loop run. */
-void writeTrafficStudyCsv(std::ostream &os, const TrafficStudy &study);
+/**
+ * The study report: one row per open-loop run, preceded in text by the
+ * capacities and followed by the knees.
+ */
+ReportTable trafficStudyTable(const TrafficStudy &study);
 
 } // namespace jscale::core
 

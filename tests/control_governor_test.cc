@@ -203,13 +203,13 @@ TEST(UslTable, ReportEmitsPerAppRows)
     core::SweepSet sweeps = runner.sweepApps({"sunflow", "h2"}, {1, 2, 4});
 
     std::ostringstream table;
-    core::printUslTable(table, sweeps);
+    core::uslTable(sweeps).print(table);
     EXPECT_NE(table.str().find("sigma"), std::string::npos);
     EXPECT_NE(table.str().find("sunflow"), std::string::npos);
     EXPECT_NE(table.str().find("h2"), std::string::npos);
 
     std::ostringstream csv;
-    core::writeUslCsv(csv, sweeps);
+    core::uslTable(sweeps).writeCsv(csv);
     std::istringstream is(csv.str());
     std::string line;
     ASSERT_TRUE(std::getline(is, line));

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <functional>
 #include <sstream>
 
 #include "core/blame.hh"
@@ -66,7 +65,7 @@ countLines(const std::string &s)
 TEST(Report, ScalabilityTableHasRowPerRun)
 {
     std::ostringstream os;
-    core::printScalabilityTable(os, fakeSweeps());
+    core::scalabilityTable(fakeSweeps()).print(os);
     // Title + header + underline + 6 rows.
     EXPECT_EQ(countLines(os.str()), 9u);
     EXPECT_NE(os.str().find("speedup"), std::string::npos);
@@ -76,7 +75,7 @@ TEST(Report, ScalabilityTableHasRowPerRun)
 TEST(Report, ScalabilityCsvParsable)
 {
     std::ostringstream os;
-    core::writeScalabilityCsv(os, fakeSweeps());
+    core::scalabilityTable(fakeSweeps()).writeCsv(os);
     std::istringstream lines(os.str());
     std::string header;
     std::getline(lines, header);
@@ -93,7 +92,7 @@ TEST(Report, ScalabilityCsvParsable)
 TEST(Report, WorkloadDistributionTable)
 {
     std::ostringstream os;
-    core::printWorkloadDistributionTable(os, fakeSweeps());
+    core::workloadDistributionTable(fakeSweeps()).print(os);
     EXPECT_NE(os.str().find("eff-workers"), std::string::npos);
     EXPECT_EQ(countLines(os.str()), 9u);
 }
@@ -101,10 +100,10 @@ TEST(Report, WorkloadDistributionTable)
 TEST(Report, LockTablesTitleTheRightFigure)
 {
     std::ostringstream a;
-    core::printLockAcquisitionTable(a, fakeSweeps());
+    core::lockAcquisitionTable(fakeSweeps()).print(a);
     EXPECT_NE(a.str().find("Fig. 1a"), std::string::npos);
     std::ostringstream b;
-    core::printLockContentionTable(b, fakeSweeps());
+    core::lockContentionTable(fakeSweeps()).print(b);
     EXPECT_NE(b.str().find("Fig. 1b"), std::string::npos);
 }
 
@@ -112,7 +111,7 @@ TEST(Report, LifespanCdfTableHasThresholdRows)
 {
     std::ostringstream os;
     const auto sweeps = fakeSweeps();
-    core::printLifespanCdfTable(os, "alpha", sweeps.at("alpha"));
+    core::lifespanCdfTable("alpha", sweeps.at("alpha")).print(os);
     EXPECT_NE(os.str().find("1.00 KiB"), std::string::npos);
     EXPECT_NE(os.str().find("4T/4C"), std::string::npos);
 }
@@ -121,7 +120,7 @@ TEST(Report, LifespanCsvHasAppColumn)
 {
     std::ostringstream os;
     const auto sweeps = fakeSweeps();
-    core::writeLifespanCdfCsv(os, "alpha", sweeps.at("alpha"));
+    core::lifespanCdfTable("alpha", sweeps.at("alpha")).writeCsv(os);
     std::istringstream lines(os.str());
     std::string header;
     std::getline(lines, header);
@@ -131,7 +130,7 @@ TEST(Report, LifespanCsvHasAppColumn)
 TEST(Report, MutatorGcTable)
 {
     std::ostringstream os;
-    core::printMutatorGcTable(os, fakeSweeps());
+    core::mutatorGcTable(fakeSweeps()).print(os);
     EXPECT_NE(os.str().find("Fig. 2"), std::string::npos);
     EXPECT_NE(os.str().find("mutator"), std::string::npos);
 }
@@ -139,17 +138,89 @@ TEST(Report, MutatorGcTable)
 TEST(Report, SuspendWaitTableRenders)
 {
     std::ostringstream os;
-    core::printSuspendWaitTable(os, fakeSweeps());
+    core::suspendWaitTable(fakeSweeps()).print(os);
     EXPECT_NE(os.str().find("suspend/cpu"), std::string::npos);
     EXPECT_EQ(countLines(os.str()), 9u);
     std::ostringstream csv;
-    core::writeSuspendWaitCsv(csv, fakeSweeps());
+    core::suspendWaitTable(fakeSweeps()).writeCsv(csv);
     std::istringstream lines(csv.str());
     std::string header;
     std::getline(lines, header);
     EXPECT_EQ(header,
               "app,threads,mean_ready_ns,mean_blocked_ns,"
               "suspend_over_cpu,lifespan_lt_1k");
+}
+
+TEST(Report, UnmeasuredPointsRenderAsStatusRows)
+{
+    // A shard-skipped first point and a failed middle point: every
+    // sweep table shows them as "-" rows ending in their status, leaves
+    // them out of its CSV, and anchors ratios at the first measured
+    // point (4 threads).
+    SweepSet sweeps = fakeSweeps();
+    for (auto &[app, sweep] : sweeps) {
+        jvm::RunResult skipped;
+        skipped.app_name = app;
+        skipped.threads = 2;
+        skipped.skipped = true;
+        sweep.insert(sweep.begin() + 1, skipped);
+        jvm::RunResult failed;
+        failed.app_name = app;
+        failed.threads = 1;
+        failed.run_error = "missing from shard result cache";
+        sweep.front() = failed;
+    }
+    const std::vector<ReportTable> tables = {
+        core::scalabilityTable(sweeps),
+        core::workloadDistributionTable(sweeps),
+        core::lockAcquisitionTable(sweeps),
+        core::lockContentionTable(sweeps),
+        core::mutatorGcTable(sweeps),
+        core::gcSurvivalTable(sweeps),
+        core::suspendWaitTable(sweeps)};
+    for (const ReportTable &t : tables) {
+        std::ostringstream text, csv;
+        t.print(text);
+        t.writeCsv(csv);
+        EXPECT_NE(text.str().find("skipped\n"), std::string::npos)
+            << text.str();
+        EXPECT_NE(text.str().find("failed\n"), std::string::npos)
+            << text.str();
+        // Header + 2 apps x 2 measured points.
+        EXPECT_EQ(countLines(csv.str()), 5u) << csv.str();
+        EXPECT_EQ(csv.str().find(",1,"), std::string::npos) << csv.str();
+        EXPECT_EQ(csv.str().find(",2,"), std::string::npos) << csv.str();
+    }
+
+    std::ostringstream e1;
+    core::scalabilityTable(sweeps).print(e1);
+    EXPECT_NE(e1.str().find("alpha        2          -        -          -"),
+              std::string::npos)
+        << e1.str();
+    std::ostringstream e3;
+    core::lockAcquisitionTable(sweeps).print(e3);
+    EXPECT_NE(e3.str().find("           400           1.00x"),
+              std::string::npos)
+        << e3.str();
+    std::ostringstream e7;
+    core::mutatorGcTable(sweeps).print(e7);
+    EXPECT_NE(e7.str().find("1.6%             1.00"), std::string::npos)
+        << e7.str();
+
+    // The lifespan pivot shows "-" columns and keeps them out of CSV;
+    // the USL fit uses the measured points only.
+    std::ostringstream cdf, cdf_csv;
+    const ReportTable lifespan =
+        core::lifespanCdfTable("alpha", sweeps.at("alpha"));
+    lifespan.print(cdf);
+    lifespan.writeCsv(cdf_csv);
+    EXPECT_NE(cdf.str().find("64.00 B         -      -    0.0%"),
+              std::string::npos)
+        << cdf.str();
+    EXPECT_EQ(cdf_csv.str().find("alpha,2,"), std::string::npos);
+    std::ostringstream usl;
+    core::uslTable(sweeps).writeCsv(usl);
+    EXPECT_NE(usl.str().find(",16,"), std::string::npos) << usl.str();
 }
 
 TEST(Report, RunSummaryContainsKeyMetrics)
@@ -276,14 +347,6 @@ fnv1a(const std::string &s)
     return h;
 }
 
-std::string
-render(const std::function<void(std::ostream &)> &fn)
-{
-    std::ostringstream os;
-    fn(os);
-    return os.str();
-}
-
 struct PinnedTable
 {
     const char *name;
@@ -378,84 +441,26 @@ TEST(Report, TableBytesArePinned)
     study.knees.push_back({"sunflow", 8, 1.5, 880000, 120000});
     study.knees.push_back({"h2", 8, 0.0, 0, 0});
 
-    const std::vector<std::tuple<std::string, std::string, std::string>>
-        rendered = {
-            {"E1",
-             render([&](auto &os) {
-                 core::printScalabilityTable(os, sweeps);
-             }),
-             render([&](auto &os) { core::writeScalabilityCsv(os, sweeps); })},
-            {"E2",
-             render([&](auto &os) {
-                 core::printWorkloadDistributionTable(os, sweeps);
-             }),
-             render([&](auto &os) {
-                 core::writeWorkloadDistributionCsv(os, sweeps);
-             })},
-            {"E3",
-             render([&](auto &os) {
-                 core::printLockAcquisitionTable(os, sweeps);
-             }),
-             render([&](auto &os) {
-                 core::writeLockAcquisitionCsv(os, sweeps);
-             })},
-            {"E4",
-             render([&](auto &os) {
-                 core::printLockContentionTable(os, sweeps);
-             }),
-             render([&](auto &os) {
-                 core::writeLockContentionCsv(os, sweeps);
-             })},
-            {"E5",
-             render([&](auto &os) {
-                 core::printLifespanCdfTable(os, "alpha", sweeps["alpha"]);
-             }),
-             render([&](auto &os) {
-                 core::writeLifespanCdfCsv(os, "alpha", sweeps["alpha"]);
-             })},
-            {"E7",
-             render([&](auto &os) { core::printMutatorGcTable(os, sweeps); }),
-             render([&](auto &os) { core::writeMutatorGcCsv(os, sweeps); })},
-            {"E8",
-             render([&](auto &os) { core::printGcSurvivalTable(os, sweeps); }),
-             render([&](auto &os) { core::writeGcSurvivalCsv(os, sweeps); })},
-            {"E14",
-             render([&](auto &os) {
-                 core::printSuspendWaitTable(os, sweeps);
-             }),
-             render([&](auto &os) { core::writeSuspendWaitCsv(os, sweeps); })},
-            {"E17",
-             render([&](auto &os) { core::printUslTable(os, sweeps); }),
-             render([&](auto &os) { core::writeUslCsv(os, sweeps); })},
-            {"blame",
-             render([&](auto &os) { core::printBlameTable(os, profiled); }),
-             render([&](auto &os) { core::writeBlameCsv(os, profiled); })},
-            {"traffic",
-             render([&](auto &os) { core::printTrafficTable(os, traffic); }),
-             render([&](auto &os) { core::writeTrafficCsv(os, traffic); })},
-            {"E18",
-             render([&](auto &os) {
-                 core::printResilienceTable(os, resilience);
-             }),
-             render([&](auto &os) {
-                 core::writeResilienceCsv(os, resilience);
-             })},
-            {"E19",
-             render([&](auto &os) { core::printCollapseTable(os, collapse); }),
-             render([&](auto &os) { core::writeCollapseCsv(os, collapse); })},
-            {"E20",
-             render([&](auto &os) { core::printBlameStudyTable(os, blame); }),
-             render([&](auto &os) { core::writeBlameStudyCsv(os, blame); })},
-            {"E21",
-             render([&](auto &os) {
-                 core::printTrafficStudyTable(os, study);
-             }),
-             render([&](auto &os) {
-                 core::writeTrafficStudyCsv(os, study);
-             })},
-        };
+    const std::vector<std::pair<std::string, ReportTable>> tables = {
+        {"E1", core::scalabilityTable(sweeps)},
+        {"E2", core::workloadDistributionTable(sweeps)},
+        {"E3", core::lockAcquisitionTable(sweeps)},
+        {"E4", core::lockContentionTable(sweeps)},
+        {"E5", core::lifespanCdfTable("alpha", sweeps["alpha"])},
+        {"E7", core::mutatorGcTable(sweeps)},
+        {"E8", core::gcSurvivalTable(sweeps)},
+        {"E14", core::suspendWaitTable(sweeps)},
+        {"E17", core::uslTable(sweeps)},
+        {"blame", core::blameTable(profiled)},
+        {"traffic", core::trafficTable(traffic)},
+        {"E18", core::resilienceTable(resilience)},
+        {"E19", core::collapseTable(collapse)},
+        {"E20", core::blameStudyTable(blame)},
+        {"E21", core::trafficStudyTable(study)},
+    };
 
-    // Recorded from the writers before the one-table-model rewrite.
+    // Recorded from the separate text and CSV writers the tables
+    // replaced.
     const std::vector<PinnedTable> pinned = {
         {"E1", 1045, 0xf9946636d7596df9ULL, 508, 0xa13e2421ac04a536ULL},
         {"E2", 740, 0xc1996c9de5f5a58dULL, 334, 0x7c1d9f43c6e7d141ULL},
@@ -474,9 +479,14 @@ TEST(Report, TableBytesArePinned)
         {"E21", 1319, 0x08485cf725f2a6e2ULL, 875, 0x2543995c0acf71bdULL},
     };
 
-    ASSERT_EQ(rendered.size(), pinned.size());
-    for (std::size_t i = 0; i < rendered.size(); ++i) {
-        const auto &[name, text, csv] = rendered[i];
+    ASSERT_EQ(tables.size(), pinned.size());
+    for (std::size_t i = 0; i < tables.size(); ++i) {
+        const auto &[name, table] = tables[i];
+        std::ostringstream text_os, csv_os;
+        table.print(text_os);
+        table.writeCsv(csv_os);
+        const std::string text = text_os.str();
+        const std::string csv = csv_os.str();
         char line[160];
         std::snprintf(line, sizeof(line),
                       "{\"%s\", %zu, 0x%016llxULL, %zu, 0x%016llxULL},",

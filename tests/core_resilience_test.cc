@@ -115,7 +115,7 @@ syntheticPoints()
 TEST(Resilience, TableRendersFailedAndSkippedArms)
 {
     std::ostringstream os;
-    core::printResilienceTable(os, syntheticPoints());
+    core::resilienceTable(syntheticPoints()).print(os);
     const std::string table = os.str();
 
     // The healthy point reports its governor target.
@@ -136,7 +136,7 @@ TEST(Resilience, TableRendersFailedAndSkippedArms)
 TEST(Resilience, CsvReportsOneRowPerArmWithStatusColumn)
 {
     std::ostringstream os;
-    core::writeResilienceCsv(os, syntheticPoints());
+    core::resilienceTable(syntheticPoints()).writeCsv(os);
     const std::string csv = os.str();
 
     std::istringstream lines(csv);

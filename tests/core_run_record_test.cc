@@ -67,12 +67,10 @@ TEST(RunRecord, RestoredResultRendersIdentically)
     std::ostringstream a, b;
     const core::SweepSet sa{{original.app_name, {original}}};
     const core::SweepSet sb{{restored.app_name, {restored}}};
-    core::printScalabilityTable(a, sa);
-    core::printBlameTable(a, original);
-    core::writeBlameCsv(a, original);
-    core::printScalabilityTable(b, sb);
-    core::printBlameTable(b, restored);
-    core::writeBlameCsv(b, restored);
+    core::scalabilityTable(sa).render(a, true);
+    core::blameTable(original).render(a, true);
+    core::scalabilityTable(sb).render(b, true);
+    core::blameTable(restored).render(b, true);
     EXPECT_EQ(a.str(), b.str());
 }
 

@@ -238,7 +238,7 @@ TEST(ParallelEquivalence, CsvReportBytesIdentical)
         core::SweepSet sweeps =
             runner.sweepApps({"sunflow", "h2"}, {1, 2, 4});
         std::ostringstream os;
-        core::writeScalabilityCsv(os, sweeps);
+        core::scalabilityTable(sweeps).writeCsv(os);
         return os.str();
     };
     EXPECT_EQ(report(1), report(8));
@@ -299,8 +299,8 @@ TEST(ParallelEquivalence, GovernedCsvReportBytesIdentical)
         core::SweepSet sweeps =
             runner.sweepApps({"jython", "h2"}, {2, 4});
         std::ostringstream os;
-        core::writeScalabilityCsv(os, sweeps);
-        core::writeUslCsv(os, sweeps);
+        core::scalabilityTable(sweeps).writeCsv(os);
+        core::uslTable(sweeps).writeCsv(os);
         return os.str();
     };
     EXPECT_EQ(report(control::GovernorMode::HillClimb, 1),

@@ -323,10 +323,10 @@ TEST(ProfiledExperiment, ProfileFillsSummaryAndReports)
     // The blame reports render without blowing up and carry the
     // conservation identity through to the CSV.
     std::ostringstream table;
-    core::printBlameTable(table, r);
+    core::blameTable(r).print(table);
     EXPECT_NE(table.str().find("task wall"), std::string::npos);
     std::ostringstream csv;
-    core::writeBlameCsv(csv, r);
+    core::blameTable(r).writeCsv(csv);
     EXPECT_NE(csv.str().find("p99_ns"), std::string::npos);
     std::ostringstream hist;
     core::writeProfileHistogramCsv(hist, r);
@@ -348,8 +348,8 @@ TEST(ProfiledExperiment, BlameStudyIsJobsInvariant)
 
     std::ostringstream ca;
     std::ostringstream cb;
-    core::writeBlameStudyCsv(ca, a);
-    core::writeBlameStudyCsv(cb, b);
+    core::blameStudyTable(a).writeCsv(ca);
+    core::blameStudyTable(b).writeCsv(cb);
     EXPECT_EQ(ca.str(), cb.str());
     EXPECT_FALSE(ca.str().empty());
 }

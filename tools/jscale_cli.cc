@@ -721,11 +721,7 @@ runTenantHost(const CliOptions &o)
     }
     t.print(std::cout);
     std::cout << "\n";
-    core::printTrafficTable(std::cout, results);
-    if (o.csv) {
-        std::cout << "\n";
-        core::writeTrafficCsv(std::cout, results);
-    }
+    core::trafficTable(results).render(std::cout, o.csv);
     for (const jvm::RunResult &r : results) {
         if (r.failed()) {
             std::cerr << "tenant " << r.app_name
@@ -797,11 +793,7 @@ cmdRun(const CliOptions &o)
     core::printRunSummary(std::cout, r);
     if (r.traffic.enabled) {
         std::cout << "\n";
-        core::printTrafficTable(std::cout, {r});
-        if (o.csv) {
-            std::cout << "\n";
-            core::writeTrafficCsv(std::cout, {r});
-        }
+        core::trafficTable({r}).render(std::cout, o.csv);
     }
     if (o.per_thread) {
         std::cout << "\n";
@@ -809,10 +801,8 @@ cmdRun(const CliOptions &o)
     }
     if (r.profile.enabled) {
         std::cout << "\n";
-        core::printBlameTable(std::cout, r);
+        core::blameTable(r).render(std::cout, o.csv);
         if (o.csv) {
-            std::cout << "\n";
-            core::writeBlameCsv(std::cout, r);
             std::cout << "\n";
             core::writeProfileHistogramCsv(std::cout, r);
         }
@@ -895,14 +885,11 @@ cmdSweep(const CliOptions &o)
     }
     core::SweepSet sweeps;
     sweeps[o.app] = runner.sweep(o.app, o.threads);
-    core::printScalabilityTable(std::cout, sweeps);
+    const ReportTable e1 = core::scalabilityTable(sweeps);
+    e1.print(std::cout);
     if (!o.arrivals.empty()) {
         std::cout << "\n";
-        core::printTrafficTable(std::cout, sweeps[o.app]);
-        if (o.csv) {
-            std::cout << "\n";
-            core::writeTrafficCsv(std::cout, sweeps[o.app]);
-        }
+        core::trafficTable(sweeps[o.app]).render(std::cout, o.csv);
     }
     for (const auto &r : sweeps[o.app]) {
         if (!r.timeline_file.empty()) {
@@ -913,7 +900,7 @@ cmdSweep(const CliOptions &o)
     }
     if (o.csv) {
         std::cout << "\n";
-        core::writeScalabilityCsv(std::cout, sweeps);
+        e1.writeCsv(std::cout);
     }
     return 0;
 }
@@ -929,22 +916,21 @@ cmdStudy(const CliOptions &o)
         workload::dacapoAppNames(), threads, [](const std::string &app) {
             std::cerr << "sweeping " << app << "...\n";
         });
-    core::printScalabilityTable(std::cout, sweeps);
-    std::cout << '\n';
-    core::printWorkloadDistributionTable(std::cout, sweeps);
-    std::cout << '\n';
-    core::printLockAcquisitionTable(std::cout, sweeps);
-    std::cout << '\n';
-    core::printLockContentionTable(std::cout, sweeps);
-    std::cout << '\n';
-    core::printMutatorGcTable(std::cout, sweeps);
-    std::cout << '\n';
-    core::printUslTable(std::cout, sweeps);
+    const ReportTable e1 = core::scalabilityTable(sweeps);
+    const ReportTable usl = core::uslTable(sweeps);
+    for (const ReportTable &t :
+         {e1, core::workloadDistributionTable(sweeps),
+          core::lockAcquisitionTable(sweeps),
+          core::lockContentionTable(sweeps), core::mutatorGcTable(sweeps)}) {
+        t.print(std::cout);
+        std::cout << '\n';
+    }
+    usl.print(std::cout);
     if (o.csv) {
         std::cout << "\n";
-        core::writeScalabilityCsv(std::cout, sweeps);
+        e1.writeCsv(std::cout);
         std::cout << "\n";
-        core::writeUslCsv(std::cout, sweeps);
+        usl.writeCsv(std::cout);
     }
     if (!o.plots_dir.empty()) {
         const auto files = core::writeAllFigures(o.plots_dir, sweeps);
@@ -960,11 +946,7 @@ cmdLifespan(const CliOptions &o)
     requireValidApp(o.app);
     core::ExperimentRunner runner(experimentConfig(o));
     std::vector<jvm::RunResult> sweep = runner.sweep(o.app, o.threads);
-    core::printLifespanCdfTable(std::cout, o.app, sweep);
-    if (o.csv) {
-        std::cout << "\n";
-        core::writeLifespanCdfCsv(std::cout, o.app, sweep);
-    }
+    core::lifespanCdfTable(o.app, sweep).render(std::cout, o.csv);
     return 0;
 }
 
@@ -1090,7 +1072,7 @@ cmdUsl(const CliOptions &o)
         return 2;
     }
 
-    // Locate the needed columns by name, so both writeScalabilityCsv
+    // Locate the needed columns by name, so both the E1 CSV
     // output and hand-made measurement files fit.
     std::string line;
     if (!std::getline(in, line)) {
@@ -1153,7 +1135,7 @@ cmdUsl(const CliOptions &o)
         std::cerr << "'" << o.trace_in << "' has no data rows\n";
         return 2;
     }
-    core::printUslSeriesTable(std::cout, series);
+    core::uslTable(series).print(std::cout);
     return 0;
 }
 
@@ -1188,11 +1170,7 @@ cmdResilience(const CliOptions &o)
     cfg.base.governor.mode = control::GovernorMode::Off;
 
     const auto points = core::runResilienceStudy(cfg);
-    core::printResilienceTable(std::cout, points);
-    if (o.csv) {
-        std::cout << "\n";
-        core::writeResilienceCsv(std::cout, points);
-    }
+    core::resilienceTable(points).render(std::cout, o.csv);
     return 0;
 }
 
@@ -1212,11 +1190,7 @@ cmdProfile(const CliOptions &o)
     cfg.base = experimentConfig(o);
 
     const core::BlameStudy study = core::runBlameStudy(cfg);
-    core::printBlameStudyTable(std::cout, study);
-    if (o.csv) {
-        std::cout << "\n";
-        core::writeBlameStudyCsv(std::cout, study);
-    }
+    core::blameStudyTable(study).render(std::cout, o.csv);
     if (!o.plots_dir.empty()) {
         std::vector<std::string> files;
         for (const std::string &app : cfg.apps) {
@@ -1329,11 +1303,7 @@ cmdTraffic(const CliOptions &o)
     cfg.base.arrivals.clear();
 
     const core::TrafficStudy study = core::runTrafficStudy(cfg);
-    core::printTrafficStudyTable(std::cout, study);
-    if (o.csv) {
-        std::cout << "\n";
-        core::writeTrafficStudyCsv(std::cout, study);
-    }
+    core::trafficStudyTable(study).render(std::cout, o.csv);
     return 0;
 }
 
@@ -1358,11 +1328,7 @@ cmdCollapse(const CliOptions &o)
     cfg.base.governor.mode = control::GovernorMode::Off;
 
     const core::CollapseStudy study = core::runCollapseStudy(cfg);
-    core::printCollapseTable(std::cout, study);
-    if (o.csv) {
-        std::cout << "\n";
-        core::writeCollapseCsv(std::cout, study);
-    }
+    core::collapseTable(study).render(std::cout, o.csv);
     return 0;
 }
 
