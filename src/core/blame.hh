@@ -17,7 +17,6 @@
 #ifndef JSCALE_CORE_BLAME_HH
 #define JSCALE_CORE_BLAME_HH
 
-#include <ostream>
 #include <string>
 #include <vector>
 

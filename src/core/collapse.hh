@@ -23,7 +23,6 @@
 #ifndef JSCALE_CORE_COLLAPSE_HH
 #define JSCALE_CORE_COLLAPSE_HH
 
-#include <ostream>
 #include <string>
 #include <vector>
 

@@ -15,7 +15,6 @@
 #ifndef JSCALE_CORE_RESILIENCE_HH
 #define JSCALE_CORE_RESILIENCE_HH
 
-#include <ostream>
 #include <string>
 #include <vector>
 

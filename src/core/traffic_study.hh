@@ -28,7 +28,6 @@
 #define JSCALE_CORE_TRAFFIC_STUDY_HH
 
 #include <cstdint>
-#include <ostream>
 #include <string>
 #include <vector>
 
