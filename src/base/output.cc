@@ -162,6 +162,17 @@ Cell::missing()
     return {"-", ""};
 }
 
+namespace {
+
+/** Whether a column of form @p column appears in rendering @p form. */
+bool
+shows(Form column, Form form)
+{
+    return column == Form::Both || column == form;
+}
+
+} // namespace
+
 ReportTable::ReportTable(std::string title, std::vector<Column> columns)
     : title_(std::move(title)), columns_(std::move(columns))
 {
@@ -172,7 +183,7 @@ ReportTable::width(Form form) const
 {
     std::size_t n = 0;
     for (const Column &c : columns_)
-        n += form == Form::Both || c.form == Form::Both || c.form == form;
+        n += form == Form::Both || shows(c.form, form);
     return n;
 }
 
@@ -201,7 +212,7 @@ ReportTable::header(Form form) const
 {
     std::vector<std::string> out;
     for (const Column &c : columns_) {
-        if (c.form == Form::Both || c.form == form)
+        if (shows(c.form, form))
             out.push_back(form == Form::Text ? c.text : c.csv);
     }
     return out;
@@ -215,8 +226,7 @@ ReportTable::cells(const Row &r, Form form) const
     const bool full = r.cells.size() == columns_.size();
     std::vector<std::string> out;
     for (std::size_t i = 0; i < r.cells.size(); ++i) {
-        if (full && columns_[i].form != Form::Both &&
-            columns_[i].form != form)
+        if (full && !shows(columns_[i].form, form))
             continue;
         out.push_back(form == Form::Text ? r.cells[i].text
                                          : r.cells[i].csv);
